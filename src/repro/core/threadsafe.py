@@ -277,6 +277,11 @@ class ThreadSafeScheduler:
         """The wrapped scheduler's op counter."""
         return self._scheduler.counter
 
+    @property
+    def observer(self):
+        """The wrapped scheduler's attached observer (read by supervision)."""
+        return self._scheduler.observer
+
     def introspect(self):
         """Serialised structure snapshot of the wrapped scheduler."""
         with self._lock:

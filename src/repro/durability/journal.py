@@ -2,12 +2,12 @@
 
 One journal record is one line::
 
-    {"crc": 3735928559, "data": {...}, "op": "start", "seq": 17}
+    {"crc":3735928559,"data":{...},"op":"start","seq":17}
 
 ``seq`` numbers are monotone and contiguous from 1; ``crc`` is the
-CRC-32 of the canonical JSON encoding of ``{seq, op, data}``, so a torn
-or bit-rotted line is detected rather than replayed. The record schema
-per ``op`` is documented in ``docs/durability.md``.
+CRC-32 of the line's bytes after the ``crc`` field (brace restored), so
+a torn or bit-rotted line is detected rather than replayed. The record
+schema per ``op`` is documented in ``docs/durability.md``.
 
 Durability is a dial (:data:`SYNC_MODES`):
 
@@ -70,39 +70,48 @@ class JournalWriteError(JournalError):
     """An append could not be made durable; the operation was not applied."""
 
 
-def _canonical(seq: int, op: str, data: Dict[str, object]) -> str:
-    return json.dumps(
-        {"seq": seq, "op": op, "data": data},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-
-
 def encode_record(seq: int, op: str, data: Dict[str, object]) -> str:
-    """One journal line (no trailing newline) with its CRC-32 stamped in."""
+    """One journal line (no trailing newline) with its CRC-32 stamped in.
+
+    The body is encoded once; splicing ``"crc"`` in as its first key
+    gives the sorted, compact encoding of the whole record.
+    """
     try:
-        body = _canonical(seq, op, data)
+        body = json.dumps(
+            {"seq": seq, "op": op, "data": data},
+            sort_keys=True,
+            separators=(",", ":"),
+            allow_nan=False,
+        )
     except (TypeError, ValueError) as exc:
         raise JournalWriteError(
             f"journal record {op!r} is not JSON-serialisable: {exc}"
         ) from exc
     crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return json.dumps(
-        {"seq": seq, "op": op, "data": data, "crc": crc},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    return '{"crc":%d,%s' % (crc, body[1:])
 
 
 def decode_record(raw: Union[str, bytes]) -> Tuple[int, str, Dict[str, object]]:
-    """Parse and CRC-check one line; raises :class:`JournalCorruptionError`."""
-    if isinstance(raw, bytes):
-        try:
-            raw = raw.decode("utf-8")
-        except UnicodeDecodeError as exc:
-            raise JournalCorruptionError(f"undecodable bytes: {exc}") from exc
+    """CRC-check, then parse, one line; raises :class:`JournalCorruptionError`.
+
+    The CRC covers the line's own bytes after the ``crc`` field (opening
+    brace restored), so a record is never re-encoded to be checked.
+    """
+    if isinstance(raw, str):
+        raw = raw.encode("utf-8")
+    head, _, tail = raw.partition(b",")
     try:
-        obj = json.loads(raw)
+        stored = int(head[7:] if head.startswith(b'{"crc":') else b"")
+    except ValueError:
+        raise JournalCorruptionError(f"malformed record: {raw[:80]!r}") from None
+    body = b"{" + tail
+    expected = zlib.crc32(body) & 0xFFFFFFFF
+    if stored != expected:
+        raise JournalCorruptionError(
+            f"CRC mismatch: stored {stored}, computed {expected}"
+        )
+    try:
+        obj = json.loads(body)
     except ValueError as exc:
         raise JournalCorruptionError(f"unparseable record: {exc}") from exc
     if (
@@ -111,17 +120,9 @@ def decode_record(raw: Union[str, bytes]) -> Tuple[int, str, Dict[str, object]]:
         or isinstance(obj.get("seq"), bool)
         or not isinstance(obj.get("op"), str)
         or not isinstance(obj.get("data"), dict)
-        or not isinstance(obj.get("crc"), int)
     ):
         raise JournalCorruptionError(f"malformed record: {raw[:80]!r}")
-    seq, op, data = obj["seq"], obj["op"], obj["data"]
-    expected = zlib.crc32(_canonical(seq, op, data).encode("utf-8")) & 0xFFFFFFFF
-    if obj["crc"] != expected:
-        raise JournalCorruptionError(
-            f"CRC mismatch on seq {seq}: stored {obj['crc']}, "
-            f"computed {expected}"
-        )
-    return seq, op, data
+    return obj["seq"], obj["op"], obj["data"]
 
 
 class Journal:

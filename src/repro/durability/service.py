@@ -8,7 +8,9 @@ journaled before it mutates the stack**, and every supervision outcome
 (survivor, retry re-arm, shed, quarantine) is journaled through the
 supervisor's ledger seam as it happens. The service keeps the journal's
 :class:`~repro.durability.state.DurableState` reduction up to date
-incrementally, so taking a snapshot is O(live timers), never O(journal).
+incrementally, so a snapshot is one canonical encode of it, never a
+replay. Its size is the live timers plus the ``survivors``/``stopped``/
+``shed_dropped`` histories, which grow with every completed timer.
 
 :func:`recover` is the other half: newest valid snapshot → seek to the
 journal tail → reduce → rebuild a *fresh* stack from the reduction —

@@ -3,12 +3,13 @@
 A snapshot is the :class:`~repro.durability.state.DurableState`
 reduction serialised at a journal sequence number, written with the
 tmp-file + fsync + ``os.replace`` recipe (:func:`repro.io.
-atomic_write_json`) so a reader only ever sees a complete snapshot —
+atomic_write_text`) so a reader only ever sees a complete snapshot —
 old or new, never torn. Each snapshot also records the journal *byte
 offset* its sequence number corresponds to, so recovery seeks straight
 to the tail instead of re-parsing the whole log.
 
-Snapshots are self-validating (CRC-32 over the canonical payload) and
+Snapshots are self-validating (CRC-32 over the canonical encoding of
+``{journal_offset, seq, state}``, recomputed from the parsed file) and
 the newest valid one wins: a corrupt or torn newest file is rejected
 and the previous one used — recovery then simply replays a longer tail.
 ``keep`` bounds disk usage; the pruned history is redundant with the
@@ -24,7 +25,8 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple, Union
 
-from repro.io import atomic_write_json
+from repro.durability.journal import JournalWriteError
+from repro.io import atomic_write_text
 
 #: Snapshot schema version stamped into every file.
 SNAPSHOT_FORMAT = 1
@@ -37,13 +39,14 @@ def snapshot_path(directory: Union[str, Path], seq: int) -> Path:
     return Path(directory) / f"snapshot-{seq:012d}.json"
 
 
-def _checksum(seq: int, journal_offset: int, state: Dict[str, object]) -> int:
-    body = json.dumps(
-        {"seq": seq, "journal_offset": journal_offset, "state": state},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
-    return zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
+def _canonical(state: Dict[str, object]) -> str:
+    return json.dumps(state, sort_keys=True, separators=(",", ":"), allow_nan=False)
+
+
+def _checksum(seq: int, journal_offset: int, state_text: str) -> int:
+    """CRC-32 of the canonical ``{journal_offset, seq, state}`` encoding."""
+    head = '{"journal_offset":%d,"seq":%d,"state":' % (journal_offset, seq)
+    return zlib.crc32((head + state_text + "}").encode("utf-8")) & 0xFFFFFFFF
 
 
 def write_snapshot(
@@ -53,17 +56,22 @@ def write_snapshot(
     journal_offset: int,
     keep: int = 2,
 ) -> Path:
-    """Atomically write the snapshot covering ``seq``; prune old ones."""
+    """Atomically write the snapshot covering ``seq``; prune old ones.
+
+    ``state`` is encoded once: the file is the header fields followed by
+    that exact canonical text, which is also what the CRC covers.
+    """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "format": SNAPSHOT_FORMAT,
-        "seq": seq,
-        "journal_offset": journal_offset,
-        "state": state,
-        "crc": _checksum(seq, journal_offset, state),
-    }
-    path = atomic_write_json(snapshot_path(directory, seq), payload, indent=None)
+    try:
+        text = _canonical(state)
+    except (TypeError, ValueError) as exc:
+        raise JournalWriteError(f"snapshot is not JSON-serialisable: {exc}") from exc
+    crc = _checksum(seq, journal_offset, text)
+    header = '{"format":%d,"seq":%d,"journal_offset":%d,"crc":%d,"state":' % (
+        SNAPSHOT_FORMAT, seq, journal_offset, crc
+    )
+    path = atomic_write_text(snapshot_path(directory, seq), header + text + "}\n")
     for stale in list_snapshots(directory)[: -keep or None]:
         if stale != path:
             stale.unlink(missing_ok=True)
@@ -111,7 +119,9 @@ def load_latest_snapshot(
             seq = payload["seq"]
             journal_offset = payload["journal_offset"]
             state = payload["state"]
-            if payload["crc"] != _checksum(seq, journal_offset, state):
+            if type(seq) is not int or type(journal_offset) is not int:
+                raise ValueError("malformed header")
+            if payload["crc"] != _checksum(seq, journal_offset, _canonical(state)):
                 raise ValueError("CRC mismatch")
         except (ValueError, KeyError, TypeError, OSError) as exc:
             rejected.append((path.name, str(exc) or type(exc).__name__))

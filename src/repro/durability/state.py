@@ -231,22 +231,12 @@ class DurableState:
     # ------------------------------------------------------------ round trip
 
     def to_dict(self) -> Dict[str, object]:
-        """JSON-serialisable form (the snapshot payload)."""
-        return {
-            "now": self.now,
-            "wall": self.wall,
-            "synced": self.synced,
-            "syncs": self.syncs,
-            "clock_jumps": self.clock_jumps,
-            "pending": {key: dict(entry) for key, entry in self.pending.items()},
-            "survivors": [list(row) for row in self.survivors],
-            "quarantine": {key: dict(rec) for key, rec in self.quarantine.items()},
-            "stopped": list(self.stopped),
-            "shed_dropped": [list(row) for row in self.shed_dropped],
-            "counters": dict(self.counters),
-            "auto_seq": self.auto_seq,
-            "applied": self.applied,
-        }
+        """JSON-serialisable form (the snapshot payload).
+
+        A view over the live containers, not a copy: encode it before
+        the next :meth:`apply`, and never mutate it.
+        """
+        return {name: getattr(self, name) for name in self.__slots__}
 
     @classmethod
     def from_dict(cls, data: Dict[str, object]) -> "DurableState":

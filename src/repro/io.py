@@ -4,10 +4,11 @@ A process can die between any two syscalls, so "write a JSON file" is
 not atomic: a kill mid-``write()`` leaves a torn file, and a kill after
 ``write()`` but before the data reaches the platter leaves a file whose
 *name* is newer than its *bytes*. Everything durable in this repo — the
-journal snapshots in :mod:`repro.durability.snapshot` and the checked-in
-``BENCH_*.json`` baselines written by ``python -m repro.bench --json`` —
-goes through :func:`atomic_write_json`, which follows the classic
-tmp-file + ``fsync`` + ``os.replace`` recipe:
+journal snapshots in :mod:`repro.durability.snapshot` (already-encoded
+text, via :func:`atomic_write_text`) and the checked-in ``BENCH_*.json``
+baselines written by ``python -m repro.bench --json`` (via
+:func:`atomic_write_json`) — follows the classic tmp-file + ``fsync`` +
+``os.replace`` recipe:
 
 1. write the full payload to ``<target>.tmp.<pid>`` in the same
    directory (same filesystem, so the final rename cannot cross devices);

@@ -277,6 +277,30 @@ def test_new_passthroughs_are_serialised_and_functional():
     assert wrapped.is_shut_down is True
 
 
+def test_supervision_over_the_facade_retries_failed_callbacks():
+    """A failing callback under SupervisedScheduler(ThreadSafeScheduler(..))
+    reaches the inner observer through the facade and is retried, then
+    quarantined — not an AttributeError out of the tick."""
+    from repro.core.supervision import RetryPolicy, SupervisedScheduler
+    from repro.obs import TraceRecorder
+
+    inner = HashedWheelUnsortedScheduler(table_size=64)
+    recorder = TraceRecorder()
+    inner.attach_observer(recorder)
+    wrapped = ThreadSafeScheduler(inner)
+    assert wrapped.observer is recorder
+    supervised = SupervisedScheduler(wrapped, retry_policy=RetryPolicy(max_attempts=2))
+
+    def boom(timer):
+        raise RuntimeError("boom")
+
+    supervised.start_timer(3, request_id="a", callback=boom)
+    supervised.advance(10)
+    assert supervised.retries == 1
+    assert "a" in supervised.quarantine
+    assert wrapped.pending_count == 0
+
+
 def test_update_timer_is_serialised_through_the_facade():
     wrapped = ThreadSafeScheduler(HashedWheelUnsortedScheduler(table_size=64))
     fired = []
