@@ -7,7 +7,7 @@ stop+start idiom — a full DELETE plus a full INSERT, two records'
 worth of bookkeeping for what is conceptually one field change. The
 wheel schemes can do much better natively: unlink from the old slot,
 recompute the slot index, relink — no search, no record churn, one
-fused charge (see ``_UPDATE_CHARGE`` in schemes 4/6/7 and their SoA
+fused charge (see ``UPDATE_CHARGE`` in schemes 4/6/7, shared by their SoA
 twins).
 
 This bench drives a deterministic re-arm storm — ~99% of pending

@@ -188,7 +188,9 @@ class Timer(DNode):
         callback: Optional[ExpiryAction] = None,
         user_data: object = None,
     ) -> None:
-        super().__init__()
+        # DNode's three link fields, set here rather than through
+        # DNode.__init__: every START_TIMER builds one of these.
+        self._prev = self._next = self._owner = None
         self.request_id = request_id
         self.interval = interval
         self.deadline = started_at + interval
@@ -452,17 +454,32 @@ class TimerScheduler(abc.ABC):
         :class:`~repro.core.errors.TimerStateError` (the paper's model keys
         STOP_TIMER on the id, so live ids must be unambiguous).
         """
-        self._check_open()
-        check_interval(interval, self.max_start_interval())
+        # One guard for the shut-down and interval checks; its body raises
+        # exactly what _check_open and check_interval raise, in that order.
+        limit = self.max_start_interval()
+        if (
+            self._shut_down
+            or type(interval) is not int
+            or interval <= 0
+            or (limit is not None and interval >= limit)
+        ):
+            self._check_open()
+            check_interval(interval, limit)
+        active = self._active
         if request_id is None:
             request_id = self._make_auto_id()
-        elif request_id in self._active:
+        elif request_id in active:
             raise TimerStateError(
                 f"request_id {request_id!r} already names a pending timer"
             )
-        timer = self._obtain_record(request_id, interval, callback, user_data)
+        if self._recycle and self._free_timers:
+            timer = self._obtain_record(
+                request_id, interval, callback, user_data
+            )
+        else:
+            timer = Timer(request_id, interval, self._now, callback, user_data)
         self._insert(timer)
-        self._active[request_id] = timer
+        active[request_id] = timer
         self.total_started += 1
         observer = self.observer
         if observer is not NULL_OBSERVER:
@@ -476,23 +493,17 @@ class TimerScheduler(abc.ABC):
         callback: Optional[ExpiryAction],
         user_data: object,
     ) -> Timer:
-        """Allocate a Timer record, reusing the free list when recycling."""
-        if self._recycle and self._free_timers:
-            candidate = self._free_timers.pop()
-            # A pooled record must be fully detached; anything still linked
-            # (a client re-inserted it by hand) is dropped, not aliased.
-            if not candidate.linked and candidate._pq_node is None:
-                candidate._reinit(
-                    request_id, interval, self._now, callback, user_data
-                )
-                return candidate
-        return Timer(
-            request_id=request_id,
-            interval=interval,
-            started_at=self._now,
-            callback=callback,
-            user_data=user_data,
-        )
+        """Pop a record off the recycle free list (``start_timer`` calls this
+        only when the list is non-empty), allocating if it is unusable."""
+        candidate = self._free_timers.pop()
+        # A pooled record must be fully detached; anything still linked
+        # (a client re-inserted it by hand) is dropped, not aliased.
+        if not candidate.linked and candidate._pq_node is None:
+            candidate._reinit(
+                request_id, interval, self._now, callback, user_data
+            )
+            return candidate
+        return Timer(request_id, interval, self._now, callback, user_data)
 
     @property
     def free_record_count(self) -> int:
@@ -510,7 +521,11 @@ class TimerScheduler(abc.ABC):
         :class:`TimerHandle` outlived its incarnation (the record was
         recycled into a different timer).
         """
-        timer = self._resolve(timer_or_id)
+        active = self._active
+        timer = active.get(timer_or_id)
+        if timer is None:
+            # Records, handles and unknown ids take the checked slow path.
+            timer = self._resolve(timer_or_id)
         if timer.state is not TimerState.PENDING:
             raise TimerStateError(
                 f"timer {timer.request_id!r} is {timer.state.value}, not pending"
@@ -518,7 +533,7 @@ class TimerScheduler(abc.ABC):
         self._remove(timer)
         timer.state = TimerState.STOPPED
         timer.stopped_at = self._now
-        del self._active[timer.request_id]
+        del active[timer.request_id]
         self.total_stopped += 1
         observer = self.observer
         if observer is not NULL_OBSERVER:
@@ -543,9 +558,18 @@ class TimerScheduler(abc.ABC):
         the same errors for unknown/finalised timers and stale handles.
         Returns the (still pending) record.
         """
-        self._check_open()
-        check_interval(new_interval, self.max_start_interval())
-        timer = self._resolve(timer_or_id)
+        limit = self.max_start_interval()
+        if (
+            self._shut_down
+            or type(new_interval) is not int
+            or new_interval <= 0
+            or (limit is not None and new_interval >= limit)
+        ):
+            self._check_open()
+            check_interval(new_interval, limit)
+        timer = self._active.get(timer_or_id)
+        if timer is None:
+            timer = self._resolve(timer_or_id)
         if timer.state is not TimerState.PENDING:
             raise TimerStateError(
                 f"timer {timer.request_id!r} is {timer.state.value}, not pending"

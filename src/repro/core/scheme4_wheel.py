@@ -26,9 +26,25 @@ from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
 from repro.core.validation import check_positive_int
-from repro.cost.counters import OpCounter
+from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.dlist import DLinkedList
+
+#: Charged ``(reads, writes, compares, links)`` per routine; the SoA twin
+#: charges these same constants.
+#: START: index computation + push at the head of the slot list.
+INSERT_CHARGE = (1, 1, 0, 1)  # = 3
+#: STOP: one unlink.
+DELETE_CHARGE = (0, 0, 0, 1)  # = 1
+#: UPDATE_TIMER is two pointer splices on a wheel: unlink from the old slot,
+#: relink at the recomputed one. The index arithmetic rides the cursor the
+#: per-tick bookkeeping already maintains, so the whole re-arm costs half
+#: the STOP+START round trip (1 + 3 charged ops).
+UPDATE_CHARGE = (0, 0, 0, 2)  # = 2
+#: Every tick: pointer increment (write), slot load (read), zero check.
+TICK_CHARGE = (1, 1, 1, 0)  # = 3
+#: Each timer drained from the slot: one read, one unlink.
+EXPIRE_CHARGE = (1, 0, 0, 1)  # = 2
 
 
 class TimingWheelScheduler(TimerScheduler):
@@ -122,65 +138,54 @@ class TimingWheelScheduler(TimerScheduler):
         return self.next_expiry()
 
     def _charge_empty_ticks(self, count: int) -> None:
-        # Per empty tick: pointer increment (write), slot load (read),
-        # zero check (compare); the cursor advances with the clock.
+        # Empty ticks pay only the per-tick constant; the cursor advances
+        # with the clock.
         self._cursor = (self._cursor + count) % self.max_interval
-        self.counter.charge(writes=count, reads=count, compares=count)
+        charge_folded(self.counter, NO_CHARGE, count, TICK_CHARGE)
+
+    # Occupancy bits flip only when a slot list goes from empty to
+    # non-empty or back.
 
     def _insert(self, timer: Timer) -> None:
         index = (self._cursor + timer.interval) % self.max_interval
         timer._slot_index = index
-        # Index computation + push at the head of the slot list.
-        self.counter.charge(reads=1, writes=1, links=1)
-        self._slots[index].push_front(timer)
-        self._occupancy.set(index)
+        self.counter.charge(*INSERT_CHARGE)
+        if self._slots[index].push_front(timer) == 1:
+            self._occupancy.set(index)
 
     def _remove(self, timer: Timer) -> None:
         index = timer._slot_index
-        self._slots[index].remove(timer)
-        timer._slot_index = -1
-        self.counter.link(1)
-        if not self._slots[index]:
+        if not self._slots[index].remove(timer):
             self._occupancy.clear(index)
-
-    # UPDATE_TIMER is two pointer splices on a wheel: unlink from the old
-    # slot, relink at the recomputed one. The index arithmetic rides the
-    # cursor the per-tick bookkeeping already maintains, so the whole
-    # re-arm costs half the STOP+START round trip (1 + 3 charged ops).
-    _UPDATE_CHARGE = dict(links=2)  # = 2
+        timer._slot_index = -1
+        self.counter.charge(*DELETE_CHARGE)
 
     def _update(self, timer: Timer, new_interval: int) -> None:
-        old_index = timer._slot_index
-        self._slots[old_index].remove(timer)
-        if not self._slots[old_index]:
-            self._occupancy.clear(old_index)
+        slots = self._slots
+        index = timer._slot_index
+        if not slots[index].remove(timer):
+            self._occupancy.clear(index)
         now = self._now
         timer.interval = new_interval
         timer.started_at = now
-        timer.deadline = now + new_interval
+        timer.deadline = timer._fire_at = now + new_interval
         timer._remaining = new_interval
-        timer._fire_at = timer.deadline
         index = (self._cursor + new_interval) % self.max_interval
         timer._slot_index = index
-        self.counter.charge(**self._UPDATE_CHARGE)
-        self._slots[index].push_front(timer)
-        self._occupancy.set(index)
+        self.counter.charge(*UPDATE_CHARGE)
+        if slots[index].push_front(timer) == 1:
+            self._occupancy.set(index)
 
     def _collect_expired(self) -> List[Timer]:
         # "Each tick we increment the current timer pointer (mod
         # MaxInterval) and check the array element being pointed to."
-        self._cursor = (self._cursor + 1) % self.max_interval
-        self.counter.write(1)  # pointer increment
-        slot = self._slots[self._cursor]
-        self.counter.read(1)  # load slot head
-        self.counter.compare(1)  # zero check
-        if not slot:
-            return []
-        self._occupancy.clear(self._cursor)  # the drain empties the slot
+        cursor = self._cursor = (self._cursor + 1) % self.max_interval
+        slot = self._slots[cursor]
         expired: List[Timer] = []
-        for node in slot.drain():
-            timer: Timer = node  # slot lists hold only Timers
-            timer._slot_index = -1
-            self.counter.charge(reads=1, links=1)
-            expired.append(timer)
+        if slot:
+            self._occupancy.clear(cursor)  # the drain empties the slot
+            for timer in slot.drain():  # slot lists hold only Timers
+                timer._slot_index = -1
+                expired.append(timer)
+        charge_folded(self.counter, TICK_CHARGE, len(expired), EXPIRE_CHARGE)
         return expired

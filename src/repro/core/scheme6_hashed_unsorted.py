@@ -29,27 +29,29 @@ from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
 from repro.core.validation import check_positive_int
-from repro.cost.counters import OpCounter
+from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.dlist import DLinkedList
+
+
+#: Operation mixes ``(reads, writes, compares, links)`` calibrated to the
+#: Section 7 instruction counts (one cheap instruction per abstract op under
+#: the default VaxCostModel). The SoA twin charges these same constants.
+INSERT_CHARGE = (4, 4, 1, 4)  # = 13
+DELETE_CHARGE = (2, 1, 0, 4)  # = 7
+EMPTY_TICK_CHARGE = (2, 1, 1, 0)  # = 4
+DECREMENT_CHARGE = (3, 1, 1, 1)  # = 6
+EXPIRE_CHARGE = (3, 3, 1, 2)  # = 9
+# UPDATE_TIMER fuses the delete and re-insert into one bucket hop: unlink
+# (4 links' worth of splicing shared with relink), rehash, and store the
+# fresh rounds count — half the DELETE+INSERT bill (7 + 13).
+UPDATE_CHARGE = (3, 2, 1, 4)  # = 10
 
 
 class HashedWheelUnsortedScheduler(TimerScheduler):
     """Scheme 6: hashed timing wheel, per-bucket unsorted lists."""
 
     scheme_name = "scheme6"
-
-    # Operation mixes calibrated to the Section 7 instruction counts
-    # (one cheap instruction per abstract op under the default VaxCostModel).
-    _INSERT_CHARGE = dict(reads=4, writes=4, compares=1, links=4)  # = 13
-    _DELETE_CHARGE = dict(reads=2, writes=1, links=4)  # = 7
-    _EMPTY_TICK_CHARGE = dict(reads=2, writes=1, compares=1)  # = 4
-    _DECREMENT_CHARGE = dict(reads=3, writes=1, compares=1, links=1)  # = 6
-    _EXPIRE_CHARGE = dict(reads=3, writes=3, compares=1, links=2)  # = 9
-    # UPDATE_TIMER fuses the delete and re-insert into one bucket hop:
-    # unlink (4 links' worth of splicing shared with relink), rehash, and
-    # store the fresh rounds count — half the DELETE+INSERT bill (7 + 13).
-    _UPDATE_CHARGE = dict(reads=3, writes=2, compares=1, links=4)  # = 10
 
     def __new__(cls, *args, store: str = "object", **kwargs):
         """``store="soa"`` returns the struct-of-arrays twin (same scheme,
@@ -105,10 +107,6 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
         """Occupancy of each bucket, for inspection and tests."""
         return [len(bucket) for bucket in self._buckets]
 
-    def bucket_index_for(self, interval: int) -> int:
-        """The slot an interval hashes to: ``(cursor + interval) mod size``."""
-        return (self._cursor + interval) % self.table_size
-
     def introspect(self) -> Dict[str, object]:
         info = super().introspect()
         info["structure"] = {
@@ -119,17 +117,6 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
             "entry_visits": self.entry_visits,
         }
         return info
-
-    def rounds_for(self, interval: int) -> int:
-        """Remaining full wheel revolutions stored with the entry.
-
-        For ``interval = q * size + r`` with ``r > 0`` this is the paper's
-        high-order bits ``q`` (Figure 9). When ``r == 0`` the slot is first
-        visited a whole revolution after insertion, so the count must be
-        ``q - 1`` — hence ``(interval - 1) // size``, which agrees with
-        ``interval // size`` in every ``r > 0`` case.
-        """
-        return (interval - 1) // self.table_size
 
     def next_expiry(self) -> Optional[int]:
         """Next occupied-bucket visit: a lower bound on the next firing.
@@ -154,71 +141,79 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
         # (Section 7) before the bucket walk; skipped ticks visit only
         # empty buckets, so that charge is the whole cost.
         self._cursor = (self._cursor + count) % self.table_size
-        self.counter.charge(
-            reads=self._EMPTY_TICK_CHARGE["reads"] * count,
-            writes=self._EMPTY_TICK_CHARGE["writes"] * count,
-            compares=self._EMPTY_TICK_CHARGE["compares"] * count,
-        )
+        charge_folded(self.counter, NO_CHARGE, count, EMPTY_TICK_CHARGE)
+
+    # The hooks below inline the bucket arithmetic: an interval hashes to
+    # slot ``(cursor + interval) mod size``, and the entry stores the
+    # paper's high-order bits (Figure 9) as its rounds count. For
+    # ``interval = q * size + r`` that is ``q`` when ``r > 0``; when
+    # ``r == 0`` the slot is first visited a whole revolution after
+    # insertion, so the count must be ``q - 1`` — hence
+    # ``(interval - 1) // size`` in both cases. Occupancy bits flip only
+    # when a chain goes from empty to non-empty or back.
 
     def _insert(self, timer: Timer) -> None:
-        index = self.bucket_index_for(timer.interval)
+        interval = timer.interval
+        size = self.table_size
+        index = (self._cursor + interval) % size
         timer._slot_index = index
-        timer._rounds = self.rounds_for(timer.interval)
-        self.counter.charge(**self._INSERT_CHARGE)
-        self._buckets[index].push_front(timer)
-        self._occupancy.set(index)
+        timer._rounds = (interval - 1) // size
+        self.counter.charge(*INSERT_CHARGE)
+        if self._buckets[index].push_front(timer) == 1:
+            self._occupancy.set(index)
 
     def _remove(self, timer: Timer) -> None:
         index = timer._slot_index
-        self._buckets[index].remove(timer)
-        timer._slot_index = -1
-        self.counter.charge(**self._DELETE_CHARGE)
-        if not self._buckets[index]:
+        if not self._buckets[index].remove(timer):
             self._occupancy.clear(index)
+        timer._slot_index = -1
+        self.counter.charge(*DELETE_CHARGE)
 
     def _update(self, timer: Timer, new_interval: int) -> None:
-        old_index = timer._slot_index
-        self._buckets[old_index].remove(timer)
-        if not self._buckets[old_index]:
-            self._occupancy.clear(old_index)
+        buckets = self._buckets
+        index = timer._slot_index
+        if not buckets[index].remove(timer):
+            self._occupancy.clear(index)
         now = self._now
         timer.interval = new_interval
         timer.started_at = now
-        timer.deadline = now + new_interval
+        timer.deadline = timer._fire_at = now + new_interval
         timer._remaining = new_interval
-        timer._fire_at = timer.deadline
-        index = self.bucket_index_for(new_interval)
+        size = self.table_size
+        index = (self._cursor + new_interval) % size
         timer._slot_index = index
-        timer._rounds = self.rounds_for(new_interval)
-        self.counter.charge(**self._UPDATE_CHARGE)
-        self._buckets[index].push_front(timer)
-        self._occupancy.set(index)
+        timer._rounds = (new_interval - 1) // size
+        self.counter.charge(*UPDATE_CHARGE)
+        if buckets[index].push_front(timer) == 1:
+            self._occupancy.set(index)
 
     def _collect_expired(self) -> List[Timer]:
         # Increment the pointer (mod TableSize); walk the whole bucket,
         # expiring zero-count entries and decrementing the rest — "exactly
-        # as in Scheme 1" but confined to one bucket.
-        self._cursor = (self._cursor + 1) % self.table_size
-        bucket = self._buckets[self._cursor]
-        self.counter.charge(**self._EMPTY_TICK_CHARGE)
-        if not bucket:
-            return []
+        # as in Scheme 1" but confined to one bucket. Every visited entry
+        # pays the 6-instruction decrement-and-advance and an expiring one
+        # the 9-instruction delete+expiry on top (Section 7's "all n timers
+        # will be decremented and possibly expire": 15 per expiring visit).
+        cursor = self._cursor = (self._cursor + 1) % self.table_size
+        bucket = self._buckets[cursor]
         expired: List[Timer] = []
-        for node in bucket:
-            timer: Timer = node  # bucket lists hold only Timers
-            # Every visited entry pays the 6-instruction decrement-and-
-            # advance; an expiring entry pays the 9-instruction delete+
-            # expiry on top (Section 7's "all n timers will be decremented
-            # and possibly expire" accounting: 15 per expiring visit).
-            self.counter.charge(**self._DECREMENT_CHARGE)
-            self.entry_visits += 1
+        visits = 0
+        for timer in bucket:  # bucket lists hold only Timers
+            visits += 1
             if timer._rounds == 0:
-                bucket.remove(timer)
+                if not bucket.remove(timer):
+                    self._occupancy.clear(cursor)
                 timer._slot_index = -1
-                self.counter.charge(**self._EXPIRE_CHARGE)
                 expired.append(timer)
             else:
                 timer._rounds -= 1
-        if not bucket:
-            self._occupancy.clear(self._cursor)
+        self.entry_visits += visits
+        charge_folded(
+            self.counter,
+            EMPTY_TICK_CHARGE,
+            visits,
+            DECREMENT_CHARGE,
+            len(expired),
+            EXPIRE_CHARGE,
+        )
         return expired

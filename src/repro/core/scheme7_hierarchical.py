@@ -40,7 +40,7 @@ from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
 from repro.core.validation import check_positive_int
-from repro.cost.counters import OpCounter
+from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.dlist import DLinkedList
 
@@ -52,14 +52,33 @@ PAPER_LEVELS: Tuple[int, ...] = (60, 60, 24, 100)
 #: 256 slots spanning 2**32 ticks.
 BINARY_LEVELS: Tuple[int, ...] = (256, 256, 256, 256)
 
+#: Charged ``(reads, writes, compares, links)`` per routine; the SoA twin
+#: and the Nichols variants charge these same constants.
+#: START and every migration: index computation + link, plus one compare
+#: per level the placement rule scans (the O(m) search of Section 6.2).
+PLACE_CHARGE = (1, 1, 0, 1)
+#: STOP: one unlink.
+DELETE_CHARGE = (0, 0, 0, 1)
+#: UPDATE_TIMER on a hierarchy is two splices plus one level read: the
+#: destination level search reuses the digit arithmetic the cascade
+#: bookkeeping already pays, so one fused charge replaces the DELETE (1) +
+#: placement-scan + INSERT (3) bill of a STOP+START round trip.
+UPDATE_CHARGE = (1, 0, 0, 2)  # = 3
+#: Every tick: clock write + level-0 cursor write/read/compare.
+TICK_CHARGE = (1, 2, 1, 0)
+#: Every coarse-level boundary crossed (a cascade, even of an empty slot).
+CASCADE_CHARGE = (1, 0, 1, 0)
+#: Every timer drained from a slot, to expire or migrate: read + unlink.
+DRAIN_CHARGE = (1, 0, 0, 1)
+
 
 class _Level:
-    """One wheel in the hierarchy.
+    """One wheel in the hierarchy: its slot lists and occupancy bitmap.
 
-    All slot mutation goes through :meth:`link` / :meth:`unlink` /
-    :meth:`drain_slot` so the per-level occupancy bitmap (the sparse-tick
-    fast path's index, never charged to the counter) can never drift from
-    the slot lists.
+    The occupancy bit of a slot (the sparse-tick fast path's index, never
+    charged to the counter) is set exactly while the slot list is
+    non-empty; every mutation flips it when a list goes from empty to
+    non-empty or back.
     """
 
     __slots__ = (
@@ -78,19 +97,8 @@ class _Level:
         return (deadline // self.granularity) % self.slot_count
 
     def link(self, slot_index: int, timer: "Timer") -> None:
-        self.slots[slot_index].push_front(timer)
-        self.occupancy.set(slot_index)
-
-    def unlink(self, slot_index: int, timer: "Timer") -> None:
-        slot = self.slots[slot_index]
-        slot.remove(timer)
-        if not slot:
-            self.occupancy.clear(slot_index)
-
-    def drain_slot(self, slot_index: int):
-        """Drain one slot; clears its bit up front (the drain empties it)."""
-        self.occupancy.clear(slot_index)
-        return self.slots[slot_index].drain()
+        if self.slots[slot_index].push_front(timer) == 1:
+            self.occupancy.set(slot_index)
 
 
 class HierarchicalWheelScheduler(TimerScheduler):
@@ -223,17 +231,6 @@ class HierarchicalWheelScheduler(TimerScheduler):
         }
         return info
 
-    def level_for_remaining(self, remaining: int) -> int:
-        """Lowest level whose span covers ``remaining`` ticks.
-
-        This is the O(m) search Section 6.2 charges START_TIMER for.
-        """
-        for level in self._levels:
-            self.counter.compare(1)
-            if remaining < level.span:
-                return level.index
-        raise AssertionError("interval validated against total_span")
-
     # ------------------------------------------------------------- internals
 
     def _place(self, timer: Timer) -> None:
@@ -247,15 +244,35 @@ class HierarchicalWheelScheduler(TimerScheduler):
         strictly downward until level 0 expires the timer exactly.
         """
         deadline = timer.deadline
+        now = self._now
+        scanned = 0
         if self.placement == "paper":
-            level = self._level_by_digits(deadline)
+            # The paper's rule: the highest level whose unit digit changes
+            # (see _level_by_digits).
+            for level in reversed(self._levels):
+                scanned += 1
+                if deadline // level.granularity != now // level.granularity:
+                    break
+            else:
+                raise AssertionError("placement requires deadline > now")
         else:
-            level = self._levels[self.level_for_remaining(deadline - self._now)]
-        slot_index = level.slot_for(deadline)
+            # The lowest level whose span covers the remaining time.
+            remaining = deadline - now
+            for level in self._levels:
+                scanned += 1
+                if remaining < level.span:
+                    break
+            else:
+                raise AssertionError("interval validated against total_span")
+        slot_index = (deadline // level.granularity) % level.slot_count
         timer._level = level.index
         timer._slot_index = slot_index
-        self.counter.charge(reads=1, writes=1, links=1)
-        level.link(slot_index, timer)
+        reads, writes, compares, links = PLACE_CHARGE
+        self.counter.charge(reads, writes, compares + scanned, links)
+        if level.slots[slot_index].push_front(timer) == 1:
+            level.occupancy.set(slot_index)
+
+    _insert = _place
 
     def _level_by_digits(self, deadline: int) -> _Level:
         """The paper's rule: highest level whose unit digit changes.
@@ -263,6 +280,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
         "We first calculate the absolute time at which the timer will
         expire ... then we insert the timer into a list beginning (11 - 10
         hours) ahead of the current hour pointer in the hour array."
+        Charges one compare per level scanned, as :meth:`_place` does.
         """
         now = self._now
         for level in reversed(self._levels):
@@ -270,9 +288,6 @@ class HierarchicalWheelScheduler(TimerScheduler):
             if deadline // level.granularity != now // level.granularity:
                 return level
         raise AssertionError("placement requires deadline > now")
-
-    def _insert(self, timer: Timer) -> None:
-        self._place(timer)
 
     def _handle_cascaded(self, timer: Timer, expired: List[Timer]) -> None:
         """Process one timer drained from a cascading coarse slot.
@@ -293,31 +308,29 @@ class HierarchicalWheelScheduler(TimerScheduler):
             self.observer.on_migrate(self, timer, from_level, timer._level)
 
     def _remove(self, timer: Timer) -> None:
-        self._levels[timer._level].unlink(timer._slot_index, timer)
+        level = self._levels[timer._level]
+        slot_index = timer._slot_index
+        if not level.slots[slot_index].remove(timer):
+            level.occupancy.clear(slot_index)
         timer._level = -1
         timer._slot_index = -1
-        self.counter.link(1)
-
-    # UPDATE_TIMER on a hierarchy is two splices plus one level read: the
-    # destination level search reuses the digit arithmetic the cascade
-    # bookkeeping already pays, so one fused charge replaces the DELETE (1)
-    # + placement-scan + INSERT (3) bill of a STOP+START round trip.
-    _UPDATE_CHARGE = dict(reads=1, links=2)  # = 3
+        self.counter.charge(*DELETE_CHARGE)
 
     def _update(self, timer: Timer, new_interval: int) -> None:
-        self._levels[timer._level].unlink(timer._slot_index, timer)
+        level = self._levels[timer._level]
+        slot_index = timer._slot_index
+        if not level.slots[slot_index].remove(timer):
+            level.occupancy.clear(slot_index)
         now = self._now
         timer.interval = new_interval
         timer.started_at = now
-        deadline = now + new_interval
-        timer.deadline = deadline
+        deadline = timer.deadline = timer._fire_at = now + new_interval
         timer._remaining = new_interval
         timer._rounds = 0
-        timer._fire_at = deadline
         timer._migrated = False
-        # Uncharged placement search (the fused charge below prices it):
-        # same destination rule as _place, so expiry behaviour is
-        # bit-identical to a remove + reinsert.
+        # Uncharged placement search (UPDATE_CHARGE prices it): same
+        # destination rule as _place, so expiry behaviour is bit-identical
+        # to a remove + reinsert.
         if self.placement == "paper":
             for level in reversed(self._levels):
                 if deadline // level.granularity != now // level.granularity:
@@ -326,11 +339,12 @@ class HierarchicalWheelScheduler(TimerScheduler):
             for level in self._levels:
                 if new_interval < level.span:
                     break
-        slot_index = level.slot_for(deadline)
+        slot_index = (deadline // level.granularity) % level.slot_count
         timer._level = level.index
         timer._slot_index = slot_index
-        self.counter.charge(**self._UPDATE_CHARGE)
-        level.link(slot_index, timer)
+        self.counter.charge(*UPDATE_CHARGE)
+        if level.slots[slot_index].push_front(timer) == 1:
+            level.occupancy.set(slot_index)
 
     def next_expiry(self) -> Optional[int]:
         """Next tick that visits an occupied slot on any level.
@@ -364,26 +378,23 @@ class HierarchicalWheelScheduler(TimerScheduler):
         return self.next_expiry()
 
     def _charge_empty_ticks(self, count: int) -> None:
-        # Per empty tick: clock write + level-0 cursor write/read/compare.
         # Each coarse-level boundary crossed inside the gap is an (empty)
-        # cascade: read + compare, and the cascade counter still advances
-        # exactly as the per-tick path would.
+        # cascade, and the cascade counter still advances exactly as the
+        # per-tick path would.
         now = self._now
         crossings = 0
         for level in self._levels[1:]:
             g = level.granularity
             crossings += (now + count) // g - now // g
         self.cascades += crossings
-        self.counter.charge(
-            writes=2 * count,
-            reads=count + crossings,
-            compares=count + crossings,
+        charge_folded(
+            self.counter, NO_CHARGE, count, TICK_CHARGE, crossings, CASCADE_CHARGE
         )
 
     def _collect_expired(self) -> List[Timer]:
         expired: List[Timer] = []
         now = self._now
-        self.counter.write(1)  # advance the clock
+        cascades = drained = 0
 
         # Coarse levels first: whenever `now` crosses a level boundary the
         # level's new slot cascades — each timer either expires now or
@@ -392,20 +403,33 @@ class HierarchicalWheelScheduler(TimerScheduler):
         for level in reversed(self._levels[1:]):
             if now % level.granularity != 0:
                 continue
-            self.cascades += 1
-            self.counter.charge(reads=1, compares=1)
-            for node in level.drain_slot(level.slot_for(now)):
-                timer: Timer = node  # slots hold only Timers
-                self.counter.charge(reads=1, links=1)
-                self._handle_cascaded(timer, expired)
+            cascades += 1
+            slot_index = (now // level.granularity) % level.slot_count
+            slot = level.slots[slot_index]
+            if slot:
+                level.occupancy.clear(slot_index)  # the drain empties it
+                for timer in slot.drain():  # slots hold only Timers
+                    drained += 1
+                    self._handle_cascaded(timer, expired)
+        self.cascades += cascades
 
         # Level 0 advances every tick and expires with exact precision.
         base = self._levels[0]
-        self.counter.charge(writes=1, reads=1, compares=1)
-        for node in base.drain_slot(base.slot_for(now)):
-            timer = node
-            self.counter.charge(reads=1, links=1)
-            timer._level = -1
-            timer._slot_index = -1
-            expired.append(timer)
+        slot_index = now % base.slot_count
+        slot = base.slots[slot_index]
+        if slot:
+            base.occupancy.clear(slot_index)
+            for timer in slot.drain():
+                drained += 1
+                timer._level = -1
+                timer._slot_index = -1
+                expired.append(timer)
+        charge_folded(
+            self.counter,
+            TICK_CHARGE,
+            cascades,
+            CASCADE_CHARGE,
+            drained,
+            DRAIN_CHARGE,
+        )
         return expired

@@ -34,6 +34,7 @@ from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.scheme7_hierarchical import (
     PAPER_LEVELS,
+    PLACE_CHARGE,
     HierarchicalWheelScheduler,
 )
 from repro.cost.counters import OpCounter
@@ -97,7 +98,7 @@ class LossyHierarchicalScheduler(HierarchicalWheelScheduler):
         slot_index = level.slot_for(fire_at)
         timer._level = level_index
         timer._slot_index = slot_index
-        self.counter.charge(reads=1, writes=1, links=1)
+        self.counter.charge(*PLACE_CHARGE)
         level.link(slot_index, timer)
 
     def _handle_cascaded(self, timer: Timer, expired: List[Timer]) -> None:
@@ -161,7 +162,7 @@ class SingleMigrationHierarchicalScheduler(HierarchicalWheelScheduler):
         slot_index = due_unit % finer.slot_count
         timer._level = finer.index
         timer._slot_index = slot_index
-        self.counter.charge(reads=1, writes=1, links=1)
+        self.counter.charge(*PLACE_CHARGE)
         finer.link(slot_index, timer)
         self.observer.on_migrate(self, timer, from_level, finer.index)
 

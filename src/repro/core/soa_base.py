@@ -96,8 +96,15 @@ class SoATimerScheduler(TimerScheduler):
         With ``request_id=None`` the packed int handle *is* the public id
         (``view.request_id`` / ``view.handle``) — the zero-overhead path.
         """
-        self._check_open()
-        check_interval(interval, self.max_start_interval())
+        limit = self.max_start_interval()
+        if (
+            self._shut_down
+            or type(interval) is not int
+            or interval <= 0
+            or (limit is not None and interval >= limit)
+        ):
+            self._check_open()
+            check_interval(interval, limit)
         store = self._store
         if request_id is not None and request_id in self._id_rows:
             raise TimerStateError(
@@ -128,9 +135,19 @@ class SoATimerScheduler(TimerScheduler):
         :class:`~repro.core.errors.StaleTimerHandleError`, exactly like
         :meth:`stop_timer`.
         """
-        self._check_open()
-        check_interval(new_interval, self.max_start_interval())
-        row = self._resolve_row(timer_or_id)
+        limit = self.max_start_interval()
+        if (
+            self._shut_down
+            or type(new_interval) is not int
+            or new_interval <= 0
+            or (limit is not None and new_interval >= limit)
+        ):
+            self._check_open()
+            check_interval(new_interval, limit)
+        row = self._id_rows.get(timer_or_id)
+        if row is None:
+            # Views, records, int handles and unknown ids: the checked path.
+            row = self._resolve_row(timer_or_id)
         store = self._store
         old_deadline = store.deadline_col[row]
         self._update_row(row, new_interval)
@@ -211,14 +228,17 @@ class SoATimerScheduler(TimerScheduler):
         A view or handle that outlived its row's incarnation raises
         :class:`~repro.core.errors.StaleTimerHandleError`.
         """
-        row = self._resolve_row(timer_or_id)
+        row = self._id_rows.get(timer_or_id)
+        if row is None:
+            row = self._resolve_row(timer_or_id)
         self._remove_row(row)
         store = self._store
         timer = self._materialize(row)
         timer.state = TimerState.STOPPED
         timer.stopped_at = self._now
-        if store.request_ids[row] is not None:
-            del self._id_rows[store.request_ids[row]]
+        request_id = store.request_ids[row]
+        if request_id is not None:
+            del self._id_rows[request_id]
         store.free(row)
         self.total_stopped += 1
         observer = self.observer
@@ -362,12 +382,14 @@ class SoATimerScheduler(TimerScheduler):
     def _materialize(self, row: int) -> Timer:
         """Build the ordinary Timer record for a row leaving the store."""
         store = self._store
+        request_id = store.request_ids[row]
+        started = store.started_col[row]
         return Timer(
-            request_id=store.request_id_of(row),
-            interval=store.deadline_col[row] - store.started_col[row],
-            started_at=store.started_col[row],
-            callback=store.callbacks[row],
-            user_data=store.user_datas[row],
+            store.handle_of(row) if request_id is None else request_id,
+            store.deadline_col[row] - started,
+            started,
+            store.callbacks[row],
+            store.user_datas[row],
         )
 
     def _finalize_expired(self, row: int) -> Timer:

@@ -13,12 +13,12 @@ through the store's ``next``/``prev`` columns; the scheme-private word
 Equivalence contract (enforced by ``tests/core/test_soa_store.py`` and
 the chaos differential): for any operation sequence, an SoA scheme and
 its object twin produce **bit-identical** OpCounter totals, expiry order,
-occupancy-bitmap state and sparse-tick events. Every ``charge`` call
-below is copied literally from the twin, including Scheme 6's calibrated
-Section 7 instruction mixes; intra-slot expiry order is preserved because
-``link_front`` + front-to-back drain is exactly ``push_front`` +
-``drain()``. What differs is only memory: no per-timer objects, no
-pointer-chased lists — the regime the MILLIONS bench prices.
+occupancy-bitmap state and sparse-tick events. Every charge below is one
+of the twin module's constants (imported, never copied), including
+Scheme 6's calibrated Section 7 instruction mixes; intra-slot expiry order
+is preserved because ``link_front`` + front-to-back drain is exactly
+``push_front`` + ``drain()``. What differs is only memory: no per-timer
+objects, no pointer-chased lists — the regime the MILLIONS bench prices.
 
 Slot indices are *derived*, not stored: scheme 4's wheel keeps the
 invariant ``cursor == now % max_interval``, so a pending row's slot is
@@ -32,13 +32,16 @@ from __future__ import annotations
 from array import array
 from typing import Dict, List, Optional, Sequence
 
+from repro.core import scheme4_wheel as scheme4
+from repro.core import scheme6_hashed_unsorted as scheme6
+from repro.core import scheme7_hierarchical as scheme7
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer
 from repro.core.introspect import occupancy_summary
 from repro.core.observer import NULL_OBSERVER
 from repro.core.soa_base import SoATimerScheduler
 from repro.core.validation import check_positive_int
-from repro.cost.counters import OpCounter
+from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
 from repro.structures.soa import NIL, SoATimerView
 
@@ -101,65 +104,64 @@ class SoATimingWheelScheduler(SoATimerScheduler):
         return self.next_expiry()
 
     def _charge_empty_ticks(self, count: int) -> None:
-        # Per empty tick: pointer increment (write), slot load (read),
-        # zero check (compare); the cursor advances with the clock.
         self._cursor = (self._cursor + count) % self.max_interval
-        self.counter.charge(writes=count, reads=count, compares=count)
+        charge_folded(self.counter, NO_CHARGE, count, scheme4.TICK_CHARGE)
 
     def _insert_row(self, row: int) -> None:
         store = self._store
+        heads = self._heads
         index = store.deadline_col[row] % self.max_interval
-        # Index computation + push at the head of the slot chain.
-        self.counter.charge(reads=1, writes=1, links=1)
-        store.link_front(self._heads, index, row)
-        self._occupancy.set(index)
+        self.counter.charge(*scheme4.INSERT_CHARGE)
+        if heads[index] == NIL:
+            self._occupancy.set(index)
+        store.link_front(heads, index, row)
 
     def _remove_row(self, row: int) -> None:
         store = self._store
+        heads = self._heads
         index = store.deadline_col[row] % self.max_interval
-        store.unlink(self._heads, index, row)
-        self.counter.link(1)
-        if self._heads[index] == NIL:
+        store.unlink(heads, index, row)
+        self.counter.charge(*scheme4.DELETE_CHARGE)
+        if heads[index] == NIL:
             self._occupancy.clear(index)
-
-    # Same fused two-splice UPDATE charge as the object twin.
-    _UPDATE_CHARGE = dict(links=2)  # = 2
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
-        old_index = store.deadline_col[row] % self.max_interval
-        store.unlink(self._heads, old_index, row)
-        if self._heads[old_index] == NIL:
-            self._occupancy.clear(old_index)
+        heads = self._heads
+        deadline_col = store.deadline_col
+        index = deadline_col[row] % self.max_interval
+        store.unlink(heads, index, row)
+        if heads[index] == NIL:
+            self._occupancy.clear(index)
         now = self._now
         store.started_col[row] = now
-        deadline = now + new_interval
-        store.deadline_col[row] = deadline
+        deadline = deadline_col[row] = now + new_interval
         index = deadline % self.max_interval
-        self.counter.charge(**self._UPDATE_CHARGE)
-        store.link_front(self._heads, index, row)
-        self._occupancy.set(index)
+        self.counter.charge(*scheme4.UPDATE_CHARGE)
+        if heads[index] == NIL:
+            self._occupancy.set(index)
+        store.link_front(heads, index, row)
 
     def _collect_expired(self) -> List[Timer]:
-        self._cursor = (self._cursor + 1) % self.max_interval
-        counter = self.counter
-        counter.write(1)  # pointer increment
+        cursor = self._cursor = (self._cursor + 1) % self.max_interval
         heads = self._heads
-        head = heads[self._cursor]
-        counter.read(1)  # load slot head
-        counter.compare(1)  # zero check
-        if head == NIL:
-            return []
-        self._occupancy.clear(self._cursor)  # the drain empties the slot
-        heads[self._cursor] = NIL
+        row = heads[cursor]
         expired: List[Timer] = []
-        next_col = self._store.next_col
-        row = head
-        while row != NIL:
-            nxt = next_col[row]
-            counter.charge(reads=1, links=1)
-            expired.append(self._finalize_expired(row))
-            row = nxt
+        if row != NIL:
+            self._occupancy.clear(cursor)  # the drain empties the slot
+            heads[cursor] = NIL
+            next_col = self._store.next_col
+            finalize = self._finalize_expired
+            while row != NIL:
+                nxt = next_col[row]
+                expired.append(finalize(row))
+                row = nxt
+        charge_folded(
+            self.counter,
+            scheme4.TICK_CHARGE,
+            len(expired),
+            scheme4.EXPIRE_CHARGE,
+        )
         return expired
 
 
@@ -167,14 +169,6 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
     """Scheme 6 on the SoA store: hashed head table, rounds in ``aux``."""
 
     scheme_name = "scheme6"
-
-    # Identical calibrated Section 7 instruction mixes as the object twin.
-    _INSERT_CHARGE = dict(reads=4, writes=4, compares=1, links=4)  # = 13
-    _DELETE_CHARGE = dict(reads=2, writes=1, links=4)  # = 7
-    _EMPTY_TICK_CHARGE = dict(reads=2, writes=1, compares=1)  # = 4
-    _DECREMENT_CHARGE = dict(reads=3, writes=1, compares=1, links=1)  # = 6
-    _EXPIRE_CHARGE = dict(reads=3, writes=3, compares=1, links=2)  # = 9
-    _UPDATE_CHARGE = dict(reads=3, writes=2, compares=1, links=4)  # = 10
 
     def __init__(
         self,
@@ -202,14 +196,6 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
         store = self._store
         return [store.chain_length(head) for head in self._heads]
 
-    def bucket_index_for(self, interval: int) -> int:
-        """The slot an interval hashes to: ``(cursor + interval) mod size``."""
-        return (self._cursor + interval) % self.table_size
-
-    def rounds_for(self, interval: int) -> int:
-        """Remaining full revolutions (see the object twin's derivation)."""
-        return (interval - 1) // self.table_size
-
     def introspect(self) -> Dict[str, object]:
         info = super().introspect()
         info["structure"] = {
@@ -236,73 +222,82 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
 
     def _charge_empty_ticks(self, count: int) -> None:
         self._cursor = (self._cursor + count) % self.table_size
-        self.counter.charge(
-            reads=self._EMPTY_TICK_CHARGE["reads"] * count,
-            writes=self._EMPTY_TICK_CHARGE["writes"] * count,
-            compares=self._EMPTY_TICK_CHARGE["compares"] * count,
-        )
+        charge_folded(self.counter, NO_CHARGE, count, scheme6.EMPTY_TICK_CHARGE)
+
+    # Rounds are ``(interval - 1) // size``, as in the object twin.
 
     def _insert_row(self, row: int) -> None:
         store = self._store
-        interval = store.deadline_col[row] - store.started_col[row]
-        index = store.deadline_col[row] % self.table_size
-        store.aux_col[row] = self.rounds_for(interval)
-        self.counter.charge(**self._INSERT_CHARGE)
-        store.link_front(self._heads, index, row)
-        self._occupancy.set(index)
+        heads = self._heads
+        deadline = store.deadline_col[row]
+        size = self.table_size
+        index = deadline % size
+        store.aux_col[row] = (deadline - store.started_col[row] - 1) // size
+        self.counter.charge(*scheme6.INSERT_CHARGE)
+        if heads[index] == NIL:
+            self._occupancy.set(index)
+        store.link_front(heads, index, row)
 
     def _remove_row(self, row: int) -> None:
         store = self._store
+        heads = self._heads
         index = store.deadline_col[row] % self.table_size
-        store.unlink(self._heads, index, row)
-        self.counter.charge(**self._DELETE_CHARGE)
-        if self._heads[index] == NIL:
+        store.unlink(heads, index, row)
+        self.counter.charge(*scheme6.DELETE_CHARGE)
+        if heads[index] == NIL:
             self._occupancy.clear(index)
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
-        old_index = store.deadline_col[row] % self.table_size
-        store.unlink(self._heads, old_index, row)
-        if self._heads[old_index] == NIL:
-            self._occupancy.clear(old_index)
+        heads = self._heads
+        deadline_col = store.deadline_col
+        size = self.table_size
+        index = deadline_col[row] % size
+        store.unlink(heads, index, row)
+        if heads[index] == NIL:
+            self._occupancy.clear(index)
         now = self._now
         store.started_col[row] = now
-        deadline = now + new_interval
-        store.deadline_col[row] = deadline
-        index = deadline % self.table_size
-        store.aux_col[row] = self.rounds_for(new_interval)
-        self.counter.charge(**self._UPDATE_CHARGE)
-        store.link_front(self._heads, index, row)
-        self._occupancy.set(index)
+        deadline = deadline_col[row] = now + new_interval
+        index = deadline % size
+        store.aux_col[row] = (new_interval - 1) // size
+        self.counter.charge(*scheme6.UPDATE_CHARGE)
+        if heads[index] == NIL:
+            self._occupancy.set(index)
+        store.link_front(heads, index, row)
 
     def _collect_expired(self) -> List[Timer]:
         # Walk the whole bucket, expiring zero-count entries and
         # decrementing the rest — "exactly as in Scheme 1", per bucket.
-        self._cursor = (self._cursor + 1) % self.table_size
-        counter = self.counter
-        counter.charge(**self._EMPTY_TICK_CHARGE)
+        cursor = self._cursor = (self._cursor + 1) % self.table_size
         heads = self._heads
-        cursor = self._cursor
-        if heads[cursor] == NIL:
-            return []
-        expired: List[Timer] = []
-        store = self._store
-        aux = store.aux_col
-        next_col = store.next_col
         row = heads[cursor]
-        while row != NIL:
-            nxt = next_col[row]
-            counter.charge(**self._DECREMENT_CHARGE)
-            self.entry_visits += 1
-            if aux[row] == 0:
-                store.unlink(heads, cursor, row)
-                counter.charge(**self._EXPIRE_CHARGE)
-                expired.append(self._finalize_expired(row))
-            else:
-                aux[row] -= 1
-            row = nxt
-        if heads[cursor] == NIL:
-            self._occupancy.clear(cursor)
+        expired: List[Timer] = []
+        visits = 0
+        if row != NIL:
+            store = self._store
+            aux = store.aux_col
+            next_col = store.next_col
+            while row != NIL:
+                nxt = next_col[row]
+                visits += 1
+                if aux[row] == 0:
+                    store.unlink(heads, cursor, row)
+                    expired.append(self._finalize_expired(row))
+                else:
+                    aux[row] -= 1
+                row = nxt
+            if heads[cursor] == NIL:
+                self._occupancy.clear(cursor)
+        self.entry_visits += visits
+        charge_folded(
+            self.counter,
+            scheme6.EMPTY_TICK_CHARGE,
+            visits,
+            scheme6.DECREMENT_CHARGE,
+            len(expired),
+            scheme6.EXPIRE_CHARGE,
+        )
         return expired
 
 
@@ -320,9 +315,6 @@ class _SoALevel:
         self.span = granularity * slot_count
         self.heads = array("q", [NIL]) * slot_count
         self.occupancy = SlotBitmap(slot_count)
-
-    def slot_for(self, deadline: int) -> int:
-        return (deadline // self.granularity) % self.slot_count
 
 
 class SoAHierarchicalWheelScheduler(SoATimerScheduler):
@@ -415,64 +407,64 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         }
         return info
 
-    def level_for_remaining(self, remaining: int) -> int:
-        """Lowest level whose span covers ``remaining`` (O(m) search)."""
-        for level in self._levels:
-            self.counter.compare(1)
-            if remaining < level.span:
-                return level.index
-        raise AssertionError("interval validated against total_span")
-
     # ------------------------------------------------------------- internals
 
-    def _level_by_digits(self, deadline: int) -> _SoALevel:
-        """The paper's rule: highest level whose unit digit changes."""
-        now = self._now
-        for level in reversed(self._levels):
-            self.counter.compare(1)
-            if deadline // level.granularity != now // level.granularity:
-                return level
-        raise AssertionError("placement requires deadline > now")
-
     def _place(self, row: int) -> None:
+        """Insert ``row`` at the level its placement rule selects (the object
+        twin's :meth:`_place`, over the head tables)."""
         store = self._store
         deadline = store.deadline_col[row]
+        now = self._now
+        scanned = 0
         if self.placement == "paper":
-            level = self._level_by_digits(deadline)
+            for level in reversed(self._levels):
+                scanned += 1
+                if deadline // level.granularity != now // level.granularity:
+                    break
+            else:
+                raise AssertionError("placement requires deadline > now")
         else:
-            level = self._levels[self.level_for_remaining(deadline - self._now)]
-        slot_index = level.slot_for(deadline)
+            remaining = deadline - now
+            for level in self._levels:
+                scanned += 1
+                if remaining < level.span:
+                    break
+            else:
+                raise AssertionError("interval validated against total_span")
+        slot_index = (deadline // level.granularity) % level.slot_count
         store.aux_col[row] = level.index
-        self.counter.charge(reads=1, writes=1, links=1)
+        reads, writes, compares, links = scheme7.PLACE_CHARGE
+        self.counter.charge(reads, writes, compares + scanned, links)
+        if level.heads[slot_index] == NIL:
+            level.occupancy.set(slot_index)
         store.link_front(level.heads, slot_index, row)
-        level.occupancy.set(slot_index)
 
-    def _insert_row(self, row: int) -> None:
-        self._place(row)
+    _insert_row = _place
 
     def _remove_row(self, row: int) -> None:
         store = self._store
         level = self._levels[store.aux_col[row]]
-        slot_index = level.slot_for(store.deadline_col[row])
-        store.unlink(level.heads, slot_index, row)
-        if level.heads[slot_index] == NIL:
+        heads = level.heads
+        slot_index = (
+            store.deadline_col[row] // level.granularity
+        ) % level.slot_count
+        store.unlink(heads, slot_index, row)
+        if heads[slot_index] == NIL:
             level.occupancy.clear(slot_index)
-        self.counter.link(1)
-
-    # Same fused UPDATE charge as the object twin (two splices + level read).
-    _UPDATE_CHARGE = dict(reads=1, links=2)  # = 3
+        self.counter.charge(*scheme7.DELETE_CHARGE)
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
+        deadline_col = store.deadline_col
         level = self._levels[store.aux_col[row]]
-        slot_index = level.slot_for(store.deadline_col[row])
-        store.unlink(level.heads, slot_index, row)
-        if level.heads[slot_index] == NIL:
+        heads = level.heads
+        slot_index = (deadline_col[row] // level.granularity) % level.slot_count
+        store.unlink(heads, slot_index, row)
+        if heads[slot_index] == NIL:
             level.occupancy.clear(slot_index)
         now = self._now
         store.started_col[row] = now
-        deadline = now + new_interval
-        store.deadline_col[row] = deadline
+        deadline = deadline_col[row] = now + new_interval
         # Uncharged placement search, mirroring the object twin's fused
         # update: same destination rule as _place, one UPDATE charge.
         if self.placement == "paper":
@@ -483,11 +475,13 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
             for level in self._levels:
                 if new_interval < level.span:
                     break
-        slot_index = level.slot_for(deadline)
+        heads = level.heads
+        slot_index = (deadline // level.granularity) % level.slot_count
         store.aux_col[row] = level.index
-        self.counter.charge(**self._UPDATE_CHARGE)
-        store.link_front(level.heads, slot_index, row)
-        level.occupancy.set(slot_index)
+        self.counter.charge(*scheme7.UPDATE_CHARGE)
+        if heads[slot_index] == NIL:
+            level.occupancy.set(slot_index)
+        store.link_front(heads, slot_index, row)
 
     def _handle_cascaded(self, row: int, expired: List[Timer]) -> None:
         """One row drained from a cascading coarse slot: expire or migrate."""
@@ -536,49 +530,58 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
             g = level.granularity
             crossings += (now + count) // g - now // g
         self.cascades += crossings
-        self.counter.charge(
-            writes=2 * count,
-            reads=count + crossings,
-            compares=count + crossings,
+        charge_folded(
+            self.counter,
+            NO_CHARGE,
+            count,
+            scheme7.TICK_CHARGE,
+            crossings,
+            scheme7.CASCADE_CHARGE,
         )
 
     def _collect_expired(self) -> List[Timer]:
         expired: List[Timer] = []
         now = self._now
-        counter = self.counter
-        store = self._store
-        next_col = store.next_col
-        counter.write(1)  # advance the clock
+        next_col = self._store.next_col
+        cascades = drained = 0
 
         # Coarse levels first: every boundary crossing cascades its slot —
         # each row either expires now or migrates to a finer wheel.
         for level in reversed(self._levels[1:]):
             if now % level.granularity != 0:
                 continue
-            self.cascades += 1
-            counter.charge(reads=1, compares=1)
-            slot_index = level.slot_for(now)
-            head = level.heads[slot_index]
-            level.occupancy.clear(slot_index)  # the drain empties the slot
-            level.heads[slot_index] = NIL
-            row = head
-            while row != NIL:
-                nxt = next_col[row]
-                counter.charge(reads=1, links=1)
-                self._handle_cascaded(row, expired)
-                row = nxt
+            cascades += 1
+            slot_index = (now // level.granularity) % level.slot_count
+            row = level.heads[slot_index]
+            if row != NIL:
+                level.occupancy.clear(slot_index)  # the drain empties it
+                level.heads[slot_index] = NIL
+                while row != NIL:
+                    nxt = next_col[row]
+                    drained += 1
+                    self._handle_cascaded(row, expired)
+                    row = nxt
+        self.cascades += cascades
 
         # Level 0 advances every tick and expires with exact precision.
         base = self._levels[0]
-        counter.charge(writes=1, reads=1, compares=1)
-        slot_index = base.slot_for(now)
-        head = base.heads[slot_index]
-        base.occupancy.clear(slot_index)
-        base.heads[slot_index] = NIL
-        row = head
-        while row != NIL:
-            nxt = next_col[row]
-            counter.charge(reads=1, links=1)
-            expired.append(self._finalize_expired(row))
-            row = nxt
+        slot_index = now % base.slot_count
+        row = base.heads[slot_index]
+        if row != NIL:
+            base.occupancy.clear(slot_index)
+            base.heads[slot_index] = NIL
+            finalize = self._finalize_expired
+            while row != NIL:
+                nxt = next_col[row]
+                drained += 1
+                expired.append(finalize(row))
+                row = nxt
+        charge_folded(
+            self.counter,
+            scheme7.TICK_CHARGE,
+            cascades,
+            scheme7.CASCADE_CHARGE,
+            drained,
+            scheme7.DRAIN_CHARGE,
+        )
         return expired

@@ -147,6 +147,36 @@ class OpCounter:
         )
 
 
+#: The zero ``(reads, writes, compares, links)`` charge.
+NO_CHARGE = (0, 0, 0, 0)
+
+
+def charge_folded(
+    counter: OpCounter,
+    base: tuple,
+    n: int,
+    per_n: tuple,
+    m: int = 0,
+    per_m: tuple = NO_CHARGE,
+) -> None:
+    """Charge ``base + n * per_n + m * per_m`` in a single call.
+
+    Charges are ``(reads, writes, compares, links)`` tuples. The wheel
+    schemes count a tick's bucket walk as it goes and charge it once at the
+    end: the totals are exactly those of charging every entry as it is
+    visited, for one call per tick instead of one or two per entry.
+    """
+    br, bw, bc, bl = base
+    nr, nw, nc, nl = per_n
+    mr, mw, mc, ml = per_m
+    counter.charge(
+        br + n * nr + m * mr,
+        bw + n * nw + m * mw,
+        bc + n * nc + m * mc,
+        bl + n * nl + m * ml,
+    )
+
+
 class _NullCounter(OpCounter):
     """A counter that swallows all charges; used for wall-clock benchmarks."""
 

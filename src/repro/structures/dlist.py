@@ -103,13 +103,37 @@ class DLinkedList:
         node._owner = self
         self._length += 1
 
-    def push_front(self, node: DNode) -> None:
-        """Insert ``node`` at the head (the paper's START_TIMER fast path)."""
-        self._link(node, self._sentinel, self._sentinel._next)
+    def push_front(self, node: DNode) -> int:
+        """Insert ``node`` at the head (the paper's START_TIMER fast path).
 
-    def push_back(self, node: DNode) -> None:
-        """Insert ``node`` at the tail."""
-        self._link(node, self._sentinel._prev, self._sentinel)
+        Returns the new length, so a caller that tracks occupancy can tell
+        an empty chain becoming non-empty (``== 1``) without another call.
+        """
+        if node._owner is not None:
+            raise ValueError("node is already a member of a list")
+        sentinel = self._sentinel
+        head = sentinel._next
+        node._prev = sentinel
+        node._next = head
+        sentinel._next = node
+        head._prev = node
+        node._owner = self
+        self._length += 1
+        return self._length
+
+    def push_back(self, node: DNode) -> int:
+        """Insert ``node`` at the tail; returns the new length."""
+        if node._owner is not None:
+            raise ValueError("node is already a member of a list")
+        sentinel = self._sentinel
+        tail = sentinel._prev
+        node._prev = tail
+        node._next = sentinel
+        tail._next = node
+        sentinel._prev = node
+        node._owner = self
+        self._length += 1
+        return self._length
 
     def insert_before(self, node: DNode, anchor: DNode) -> None:
         """Insert ``node`` immediately before ``anchor`` (a current member)."""
@@ -123,8 +147,12 @@ class DLinkedList:
             raise ValueError("anchor is not a member of this list")
         self._link(node, anchor, anchor._next)
 
-    def remove(self, node: DNode) -> None:
-        """Unlink ``node`` in O(1). The node must be a member of this list."""
+    def remove(self, node: DNode) -> int:
+        """Unlink ``node`` in O(1); returns the remaining length.
+
+        The node must be a member of this list. A ``0`` return tells an
+        occupancy-tracking caller the chain just became empty.
+        """
         if node._owner is not self:
             raise ValueError("node is not a member of this list")
         node._prev._next = node._next
@@ -133,6 +161,7 @@ class DLinkedList:
         node._next = None
         node._owner = None
         self._length -= 1
+        return self._length
 
     def pop_front(self) -> DNode:
         """Remove and return the head node. Raises ``IndexError`` when empty."""

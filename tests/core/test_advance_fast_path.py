@@ -296,3 +296,53 @@ class TestRunUntilIdle:
 
         with pytest.raises(TimerLivelockError):
             scheduler.run_until_idle(max_ticks=500)
+
+
+def _occupancy_pairs(sched):
+    """``(bit set, chain non-empty)`` for every slot of every wheel."""
+    if hasattr(sched, "_levels"):
+        wheels = [
+            (level.occupancy, sched.slot_sizes(level.index))
+            for level in sched._levels
+        ]
+    elif hasattr(sched, "bucket_sizes"):
+        wheels = [(sched._occupancy, sched.bucket_sizes())]
+    else:
+        wheels = [(sched._occupancy, sched.slot_sizes())]
+    return [
+        (bits.test(index), size > 0)
+        for bits, sizes in wheels
+        for index, size in enumerate(sizes)
+    ]
+
+
+@pytest.mark.parametrize("store", ("object", "soa"))
+@pytest.mark.parametrize("scheme", ("scheme4", "scheme6", "scheme7"))
+def test_occupancy_bits_track_chain_emptiness(scheme, store):
+    """The hot paths flip a slot's bit only when its chain goes from empty
+    to non-empty or back; after every operation the bit must still read
+    exactly "this chain is non-empty" on every wheel."""
+    geometry = {
+        "scheme4": {"max_interval": 512},
+        "scheme6": {"table_size": 64},
+        "scheme7": {"slot_counts": (8, 8, 8)},
+    }
+    sched = make_scheduler(scheme, store=store, **geometry[scheme])
+    rng = random.Random(scheme)
+    pending = []
+    for step in range(600):
+        roll = rng.random()
+        if pending and roll < 0.4:
+            sched.update_timer(rng.choice(pending), rng.randint(1, 300))
+        elif pending and roll < 0.55:
+            rid = pending.pop(rng.randrange(len(pending)))
+            sched.stop_timer(rid)
+        elif roll < 0.8:
+            rid = f"t{step}"
+            sched.start_timer(rng.randint(1, 300), request_id=rid)
+            pending.append(rid)
+        else:
+            fired = {t.request_id for t in sched.advance(rng.randint(1, 40))}
+            pending = [rid for rid in pending if rid not in fired]
+        pairs = _occupancy_pairs(sched)
+        assert all(bit == occupied for bit, occupied in pairs), step

@@ -10,11 +10,28 @@ import pytest
 
 from repro.core import TimerState
 from repro.core.errors import (
+    SchedulerShutdownError,
     TimerIntervalError,
     TimerStateError,
     UnknownTimerError,
 )
 from tests.conftest import ALL_SCHEMES, EXACT_SCHEMES, build
+
+#: Registry schemes that also run on the struct-of-arrays store.
+SOA_SCHEMES = ("scheme4", "scheme6", "scheme7")
+
+BAD_INTERVALS = [0, -1, -100, 1.5, "7", None, True]
+
+
+def _assert_interval_rejected(sched, bad):
+    """START and UPDATE both refuse ``bad``; the live timer is untouched."""
+    with pytest.raises(TimerIntervalError):
+        sched.start_timer(bad)
+    live = sched.start_timer(10)
+    with pytest.raises(TimerIntervalError):
+        sched.update_timer(live, bad)
+    assert live.pending
+    assert live.deadline == 10
 
 
 class TestStartTimer:
@@ -59,10 +76,43 @@ class TestStartTimer:
         timer = any_scheduler.start_timer(5, request_id="x")
         assert timer.pending
 
-    @pytest.mark.parametrize("bad", [0, -1, -100, 1.5, "7", None, True])
+    @pytest.mark.parametrize("bad", BAD_INTERVALS)
     def test_invalid_intervals_rejected(self, any_scheduler, bad):
+        _assert_interval_rejected(any_scheduler, bad)
+
+    @pytest.mark.parametrize("bad", BAD_INTERVALS)
+    @pytest.mark.parametrize("name", SOA_SCHEMES)
+    def test_invalid_intervals_rejected_soa(self, name, bad):
+        _assert_interval_rejected(build(name, store="soa"), bad)
+
+    @pytest.mark.parametrize("store", ("object", "soa"))
+    @pytest.mark.parametrize("name", ("scheme4", "scheme7"))
+    def test_interval_at_max_start_interval_rejected(self, name, store):
+        sched = build(name, store=store)
+        limit = sched.max_start_interval()
         with pytest.raises(TimerIntervalError):
-            any_scheduler.start_timer(bad)
+            sched.start_timer(limit)
+        live = sched.start_timer(limit - 1)
+        with pytest.raises(TimerIntervalError):
+            sched.update_timer(live, limit)
+        sched.update_timer(live, limit - 1)
+        assert live.deadline == limit - 1
+
+    @pytest.mark.parametrize(
+        "name, store",
+        [(name, "object") for name in ALL_SCHEMES]
+        + [(name, "soa") for name in SOA_SCHEMES],
+    )
+    def test_start_and_update_refused_after_shutdown(self, name, store):
+        sched = build(name, store=store) if store == "soa" else build(name)
+        sched.start_timer(10, request_id="x")
+        sched.shutdown()
+        # The shut-down check comes first, ahead of the interval check.
+        for interval in (5, 0):
+            with pytest.raises(SchedulerShutdownError):
+                sched.start_timer(interval)
+            with pytest.raises(SchedulerShutdownError):
+                sched.update_timer("x", interval)
 
     def test_user_data_carried(self, any_scheduler):
         payload = object()

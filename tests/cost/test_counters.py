@@ -2,7 +2,13 @@
 
 from __future__ import annotations
 
+import random
+
+import pytest
+
+from repro.core import scheme_names
 from repro.cost.counters import NULL_COUNTER, OpCounter, OpSnapshot
+from tests.conftest import build
 
 
 def test_initial_state():
@@ -70,3 +76,39 @@ def test_repr_mentions_fields():
     counter = OpCounter()
     counter.read(2)
     assert "reads=2" in repr(counter)
+
+
+@pytest.mark.parametrize(
+    "name, store",
+    [(name, "object") for name in scheme_names()]
+    + [(name, "soa") for name in ("scheme4", "scheme6", "scheme7")],
+)
+def test_null_counter_stays_zero_under_a_storm(name, store):
+    """Every scheme's hot paths charge through ``OpCounter`` methods, which
+    the shared null counter swallows; a path that bumped the fields
+    directly would leave it nonzero for every later user."""
+    kwargs = {"counter": NULL_COUNTER}
+    if store == "soa":
+        kwargs["store"] = "soa"
+    sched = build(name, **kwargs)
+    rng = random.Random(name)
+    pending = [f"t{i}" for i in range(100)]
+    for rid in pending:
+        sched.start_timer(rng.randint(1, 300), request_id=rid)
+    serial = len(pending)
+    for now in range(400):
+        for _ in range(5):
+            rid = pending[rng.randrange(len(pending))]
+            if not sched.is_pending(rid):
+                sched.start_timer(rng.randint(1, 300), request_id=rid)
+            elif rng.random() < 0.8:
+                sched.update_timer(rid, rng.randint(1, 300))
+            else:
+                sched.stop_timer(rid)
+                pending.remove(rid)
+                pending.append(f"t{serial}")
+                sched.start_timer(rng.randint(1, 300), request_id=pending[-1])
+                serial += 1
+        sched.advance_to(now + 1)
+    sched.run_until_idle()
+    assert NULL_COUNTER.total == 0

@@ -28,14 +28,19 @@ def test_custom_weights():
     assert model.instructions(OpSnapshot(reads=1, writes=1)) == 5.0
 
 
-def test_scheme6_hot_paths_hit_section7_constants():
-    """The instrumented Scheme 6 charges exactly the published mixes."""
+def _assert_section7_constants(store):
+    """The instrumented Scheme 6 charges exactly the published mixes, and
+    the fused UPDATE at half the STOP+START bill."""
     model = VaxCostModel()
-    sched = HashedWheelUnsortedScheduler(table_size=128)
+    sched = HashedWheelUnsortedScheduler(table_size=128, store=store)
 
     before = sched.counter.snapshot()
     timer = sched.start_timer(500)
     assert model.instructions(sched.counter.since(before)) == 13
+
+    before = sched.counter.snapshot()
+    sched.update_timer(timer, 300)
+    assert model.instructions(sched.counter.since(before)) == 10
 
     before = sched.counter.snapshot()
     sched.stop_timer(timer)
@@ -46,7 +51,7 @@ def test_scheme6_hot_paths_hit_section7_constants():
     assert model.instructions(sched.counter.since(before)) == 4
 
     # Decrement-and-advance (6): a timer with one spare revolution.
-    sched2 = HashedWheelUnsortedScheduler(table_size=8)
+    sched2 = HashedWheelUnsortedScheduler(table_size=8, store=store)
     sched2.start_timer(8 + 3)
     sched2.advance(2)
     before = sched2.counter.snapshot()
@@ -59,6 +64,16 @@ def test_scheme6_hot_paths_hit_section7_constants():
     expired = sched2.tick()
     assert len(expired) == 1
     assert model.instructions(sched2.counter.since(before)) == 4 + 6 + 9
+
+
+def test_scheme6_hot_paths_hit_section7_constants():
+    """The default (object) store charges the Section 7 constants."""
+    _assert_section7_constants("object")
+
+
+def test_scheme6_soa_hot_paths_hit_section7_constants():
+    """The struct-of-arrays store charges the same Section 7 constants."""
+    _assert_section7_constants("soa")
 
 
 def test_predicted_per_tick_formula():
