@@ -117,6 +117,11 @@ class TestCheckedInBaseline:
         assert snap["records"] < full["records"], (
             "snapshots must bound replay below the journal's full length"
         )
+        # Rows never decrease, so the recovered rows bound the rows of
+        # the snapshot the tail was counted from.
+        assert snap["records"] <= snap["snapshot_every"] + snap["rows"], (
+            "the replayed tail must stay within snapshot_every + rows"
+        )
 
     def test_crash_rows_cover_every_mode_and_scheme(self, baseline):
         rows = [

@@ -12,8 +12,9 @@ after a crash. This experiment prices the three promises:
   must amortise fsyncs (strictly fewer than ``always``).
 * **recovery replay throughput** — a journal of tens of thousands of
   records is reduced back into a live scheduler, timed; a second run
-  with snapshots enabled shows replay is bounded by the tail since the
-  last snapshot, not the journal's lifetime length.
+  at the default snapshot cadence shows replay is bounded by the tail
+  since the last snapshot (at most ``snapshot_every`` plus its rows),
+  not the journal's lifetime length.
 * **crash transparency** — the service is killed at journal sequence
   numbers spanning the plan (log left missing, torn, corrupt, and fully
   durable at the kill point), recovered, and the resumed run's
@@ -119,7 +120,7 @@ def _build_journal(
 
 
 def _recovery_row(n_ops: int, snapshot_every: Optional[int]):
-    """Build a journal, recover it, and time the replay."""
+    """Build a journal, recover it, time the replay; count recovered rows."""
     from repro.core import make_scheduler
     from repro.durability.service import recover
 
@@ -133,14 +134,16 @@ def _recovery_row(n_ops: int, snapshot_every: Optional[int]):
         elapsed = perf_counter() - started
         report = recovered.recovery
         same = recovered.pending_count == pending and recovered.now == tick
+        rows = recovered.state.rows
         recovered.close()
-        return report, elapsed, same
+        return report, elapsed, same, rows
     finally:
         shutil.rmtree(directory, ignore_errors=True)
 
 
 def durable_service(fast: bool = False) -> ExperimentResult:
     """Journal overhead, recovery throughput, crash transparency."""
+    from repro.durability.service import DEFAULT_SNAPSHOT_EVERY
     from repro.faults.chaos_durable import run_chaos_durable
 
     repeats = 2 if fast else 3
@@ -246,7 +249,7 @@ def durable_service(fast: bool = False) -> ExperimentResult:
     )
 
     # -- phase 2: recovery replay throughput ---------------------------
-    report, elapsed, same = _recovery_row(replay_ops, snapshot_every=None)
+    report, elapsed, same, _rows = _recovery_row(replay_ops, snapshot_every=None)
     throughput = report.replayed_records / elapsed if elapsed > 0 else 0.0
     result.add_row(
         "recovery",
@@ -284,8 +287,9 @@ def durable_service(fast: bool = False) -> ExperimentResult:
             "gated": not fast,
         }
     )
-    snap_report, snap_elapsed, snap_same = _recovery_row(
-        replay_ops, snapshot_every=1_024
+    every = DEFAULT_SNAPSHOT_EVERY
+    snap_report, snap_elapsed, snap_same, snap_rows = _recovery_row(
+        replay_ops, snapshot_every=every
     )
     result.add_row(
         "recovery",
@@ -309,6 +313,11 @@ def durable_service(fast: bool = False) -> ExperimentResult:
         == snap_report.last_seq - snap_report.snapshot_seq
         and snap_report.replayed_records < report.replayed_records,
     )
+    result.check(
+        "recovery/snapshot: tail within snapshot_every + rows "
+        f"({snap_report.replayed_records} <= {every} + {snap_rows})",
+        snap_report.replayed_records <= every + snap_rows,
+    )
     measurements.append(
         {
             "phase": "recovery",
@@ -322,6 +331,8 @@ def durable_service(fast: bool = False) -> ExperimentResult:
                 else 0.0
             ),
             "snapshot_seq": snap_report.snapshot_seq,
+            "snapshot_every": every,
+            "rows": snap_rows,
             "identical": snap_same,
             "gated": False,
         }

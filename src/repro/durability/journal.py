@@ -41,6 +41,7 @@ log, which would silently drop acknowledged history.
 
 from __future__ import annotations
 
+import errno
 import json
 import os
 import zlib
@@ -161,7 +162,8 @@ class Journal:
         self._crashed = False
         self._seq = start_seq
         self._buffer: List[bytes] = []
-        self._handle = open(self.path, "ab")
+        # Unbuffered, so a rolled-back commit leaves nothing to flush later.
+        self._handle = open(self.path, "ab", buffering=0)
         self._length = self._handle.tell()
         self.appended = 0
         self.fsyncs = 0
@@ -188,7 +190,7 @@ class Journal:
         """Append one record per the sync discipline; returns its seq.
 
         Raises :class:`JournalWriteError` (and applies nothing) when the
-        record cannot be serialised or its commit fsync fails; raises
+        record cannot be serialised or its commit write or fsync fails; raises
         :class:`~repro.faults.crash.SimulatedCrash` at a configured
         :class:`~repro.faults.crash.CrashPoint`.
         """
@@ -229,7 +231,6 @@ class Journal:
         elif fsync and self.sync == "never":
             # "never" wrote without syncing; an explicit flush still
             # lets tests and shutdown make the file durable.
-            self._handle.flush()
             os.fsync(self._handle.fileno())
             self.fsyncs += 1
 
@@ -252,32 +253,36 @@ class Journal:
     def _commit(self, lines: List[bytes], fsync: bool, covering: int) -> None:
         """Write ``lines`` and optionally fsync, as one atomic-ish group.
 
-        An injected fsync failure (``fsync_fail_at_seq``) rolls the file
-        back to its pre-commit length — the bytes were never acknowledged
-        durable, so they must not be observable by a later replay — and
-        raises :class:`JournalWriteError`.
+        A failed write or fsync — a real ``OSError`` or the injected
+        ``fsync_fail_at_seq`` one — rolls the file back to its pre-commit
+        length (the bytes were never acknowledged durable, so a later
+        replay must not see them) and raises :class:`JournalWriteError`
+        chained to the ``OSError``.
         """
         base = self._length
-        for line in lines:
-            self._handle.write(line)
-        self._handle.flush()
-        if fsync:
-            if (
-                self.fsync_fail_at_seq is not None
-                and not self._fsync_failed
-                and covering >= self.fsync_fail_at_seq
-            ):
-                self._fsync_failed = True
-                self._handle.truncate(base)
-                self._handle.seek(base)
-                raise JournalWriteError(
-                    f"injected fsync failure covering seq {covering}; "
-                    "the operation was not applied"
-                )
-            os.fsync(self._handle.fileno())
-            self.fsyncs += 1
-        self._length = base + sum(len(line) for line in lines)
-        self.bytes_written += sum(len(line) for line in lines)
+        blob = b"".join(lines)
+        handle = self._handle
+        try:
+            if handle.write(blob) != len(blob):
+                raise OSError(errno.ENOSPC, "short journal write")
+            if fsync:
+                if (
+                    self.fsync_fail_at_seq is not None
+                    and not self._fsync_failed
+                    and covering >= self.fsync_fail_at_seq
+                ):
+                    self._fsync_failed = True
+                    raise OSError(errno.EIO, "injected fsync failure")
+                os.fsync(handle.fileno())
+                self.fsyncs += 1
+        except OSError as exc:
+            os.ftruncate(handle.fileno(), base)
+            raise JournalWriteError(
+                f"commit covering seq {covering} failed ({exc}); "
+                "the operation was not applied"
+            ) from exc
+        self._length = base + len(blob)
+        self.bytes_written += len(blob)
 
     def _execute_crash(self, line: bytes, mode: str, seq: int) -> None:
         """Leave the file in the configured post-mortem state and die."""

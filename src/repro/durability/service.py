@@ -10,7 +10,8 @@ supervisor's ledger seam as it happens. The service keeps the journal's
 :class:`~repro.durability.state.DurableState` reduction up to date
 incrementally, so a snapshot is one canonical encode of it, never a
 replay. Its size is the live timers plus the ``survivors``/``stopped``/
-``shed_dropped`` histories, which grow with every completed timer.
+``shed_dropped`` histories, which grow with every completed timer, so the
+snapshot cadence grows with it: ``snapshot_every`` records plus one per row.
 
 :func:`recover` is the other half: newest valid snapshot → seek to the
 journal tail → reduce → rebuild a *fresh* stack from the reduction —
@@ -33,6 +34,7 @@ Semantics the journal buys, and their price (``docs/durability.md``):
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
@@ -57,6 +59,9 @@ from repro.faults.crash import CrashPoint
 
 #: File name of the journal inside a durable service directory.
 JOURNAL_NAME = "journal.jsonl"
+
+#: Default floor of the snapshot cadence (``snapshot_every``).
+DEFAULT_SNAPSHOT_EVERY = 256
 
 
 @dataclass
@@ -105,6 +110,12 @@ class DurableScheduler:
     ``user_data`` must be JSON-serialisable; both are validated before
     anything is journaled or mutated. Omitted ids are assigned a
     persistent ``auto-d<n>`` series that survives recovery.
+
+    ``snapshot_every`` is the floor of the snapshot cadence: after a
+    snapshot of R rows (:attr:`DurableState.rows`) the next falls due once
+    ``snapshot_every + R`` more records are journaled, so a record pays for
+    at most one row encode and a replay is at most that tail. ``None``
+    disables automatic snapshots.
     """
 
     def __init__(
@@ -114,7 +125,7 @@ class DurableScheduler:
         *,
         sync: str = "batch",
         batch_size: int = DEFAULT_BATCH_SIZE,
-        snapshot_every: Optional[int] = 256,
+        snapshot_every: Optional[int] = DEFAULT_SNAPSHOT_EVERY,
         keep_snapshots: int = 2,
         crash: Optional[CrashPoint] = None,
         fsync_fail_at_seq: Optional[int] = None,
@@ -150,7 +161,7 @@ class DurableScheduler:
             crash=crash,
             fsync_fail_at_seq=fsync_fail_at_seq,
         )
-        self._snapshot_seq = start_seq
+        self._schedule_snapshot(start_seq, 0)
         self._supervised = hasattr(scheduler, "set_ledger")
         if self._supervised:
             scheduler.set_ledger(self._append)
@@ -328,16 +339,25 @@ class DurableScheduler:
             )
 
     def _maybe_snapshot(self) -> None:
-        if self.snapshot_every is None:
-            return
-        if self._journal.last_seq - self._snapshot_seq >= self.snapshot_every:
+        if self._journal.last_seq >= self._snapshot_due:
             try:
                 self.snapshot()
             except JournalWriteError:
-                pass  # an injected fsync failure defers the snapshot
+                # the op stands; retry a floor interval later, not on every op
+                self._snapshot_due = self._journal.last_seq + self.snapshot_every
+
+    def _schedule_snapshot(self, seq: int, rows: int) -> None:
+        """Note a snapshot of ``rows`` rows at ``seq`` and set the next due seq."""
+        self._snapshot_seq = seq
+        every = self.snapshot_every
+        self._snapshot_due = math.inf if every is None else seq + every + rows
 
     def snapshot(self) -> Path:
-        """Write a snapshot covering everything journaled so far."""
+        """Write a snapshot covering everything journaled so far.
+
+        Raises :class:`~repro.durability.journal.JournalWriteError` when
+        the journal flush or the snapshot write fails.
+        """
         self._journal.flush(fsync=self._journal.sync != "never")
         seq = self._journal.last_seq
         path = write_snapshot(
@@ -347,7 +367,7 @@ class DurableScheduler:
             journal_offset=self._journal._length,
             keep=self.keep_snapshots,
         )
-        self._snapshot_seq = seq
+        self._schedule_snapshot(seq, self._state.rows)
         return path
 
     def flush(self, fsync: bool = True) -> None:
@@ -443,7 +463,7 @@ def recover(
     rebind: Optional[Callable[[str, object], Optional[ExpiryAction]]] = None,
     sync: str = "batch",
     batch_size: int = DEFAULT_BATCH_SIZE,
-    snapshot_every: Optional[int] = 256,
+    snapshot_every: Optional[int] = DEFAULT_SNAPSHOT_EVERY,
     keep_snapshots: int = 2,
     catch_up: bool = True,
 ) -> DurableScheduler:
@@ -464,6 +484,10 @@ def recover(
     (supervised stacks that had synced a wall clock), deadlines missed
     while dead are fired before the call returns; their outcomes are
     journaled like any others.
+
+    The next automatic snapshot is due ``snapshot_every`` plus its rows
+    records after the snapshot recovery loaded (seq 0 and no rows if none),
+    so the replay bound of :class:`DurableScheduler` holds across crashes.
     """
     directory = Path(directory)
     loaded = load_latest_snapshot(directory)
@@ -475,6 +499,7 @@ def recover(
         state = DurableState()
         start_after = 0
         offset = None
+    loaded_rows = state.rows
     journal_path = directory / JOURNAL_NAME
     read = read_journal(journal_path, start_after=start_after, offset=offset)
     for seq, op, data in read.records:
@@ -539,6 +564,7 @@ def recover(
         start_seq=read.last_seq,
         state=state,
     )
+    durable._schedule_snapshot(start_after, loaded_rows)
     report = RecoveryReport(
         snapshot_seq=start_after,
         snapshot_path=str(loaded.path) if loaded is not None else None,

@@ -59,7 +59,9 @@ def write_snapshot(
     """Atomically write the snapshot covering ``seq``; prune old ones.
 
     ``state`` is encoded once: the file is the header fields followed by
-    that exact canonical text, which is also what the CRC covers.
+    that exact canonical text, which is also what the CRC covers. An
+    unencodable state or an ``OSError`` from the write (``ENOSPC``, say)
+    raises :class:`JournalWriteError`; older snapshots stay in place.
     """
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
@@ -71,10 +73,16 @@ def write_snapshot(
     header = '{"format":%d,"seq":%d,"journal_offset":%d,"crc":%d,"state":' % (
         SNAPSHOT_FORMAT, seq, journal_offset, crc
     )
-    path = atomic_write_text(snapshot_path(directory, seq), header + text + "}\n")
+    try:
+        path = atomic_write_text(snapshot_path(directory, seq), header + text + "}\n")
+    except OSError as exc:
+        raise JournalWriteError(f"snapshot write failed: {exc}") from exc
     for stale in list_snapshots(directory)[: -keep or None]:
         if stale != path:
-            stale.unlink(missing_ok=True)
+            try:
+                stale.unlink(missing_ok=True)
+            except OSError:
+                pass  # best effort: a stale snapshot is redundant, not harmful
     return path
 
 

@@ -203,6 +203,13 @@ class DurableState:
 
     # ------------------------------------------------------------- inspection
 
+    @property
+    def rows(self) -> int:
+        """Pending plus history rows, what a snapshot encodes. It never drops,
+        bar an id quarantined twice (the second row replaces the first)."""
+        history = (self.survivors, self.stopped, self.shed_dropped, self.quarantine)
+        return len(self.pending) + sum(map(len, history))
+
     def seen_ids(self) -> Set[str]:
         """Every id whose START_TIMER durably reached the journal."""
         seen: Set[str] = set(self.pending)

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import os
 
 import pytest
 
@@ -239,6 +241,79 @@ def test_fsync_failure_in_batch_keeps_older_buffered_records(tmp_path):
     journal.append("start", {"id": "b2"})
     journal.flush()
     assert [d["id"] for _, _, d in read_journal(path).records] == ["a", "b2"]
+
+
+def _fail_next_fsync(monkeypatch):
+    """Make the next ``os.fsync`` the journal issues fail with ``EIO``."""
+    real_fsync = os.fsync
+    failed = []
+
+    def flaky(fd):
+        if not failed:
+            failed.append(fd)
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.durability.journal.os.fsync", flaky)
+
+
+def test_os_fsync_failure_rejects_cleanly(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    journal = Journal(path, sync="always")
+    journal.append("start", {"id": "a"})
+    size_before = path.stat().st_size
+    _fail_next_fsync(monkeypatch)
+    with pytest.raises(JournalWriteError, match="Input/output") as raised:
+        journal.append("start", {"id": "b"})
+    assert isinstance(raised.value.__cause__, OSError)
+    # the unacknowledged bytes were rolled back, not left for replay
+    assert path.stat().st_size == size_before
+    assert journal.last_seq == 1
+    assert journal.append("start", {"id": "b"}) == 2
+    assert [d["id"] for _, _, d in read_journal(path).records] == ["a", "b"]
+
+
+def test_os_fsync_failure_in_batch_keeps_older_buffered_records(tmp_path, monkeypatch):
+    path = tmp_path / "j.jsonl"
+    journal = Journal(path, sync="batch", batch_size=2)
+    journal.append("start", {"id": "a"})
+    _fail_next_fsync(monkeypatch)
+    with pytest.raises(JournalWriteError):
+        journal.append("start", {"id": "b"})  # fills the batch -> commit fails
+    assert journal.unsynced == 1  # "a" stays buffered; only "b" was dropped
+    journal.append("start", {"id": "b2"})
+    journal.flush()
+    assert [d["id"] for _, _, d in read_journal(path).records] == ["a", "b2"]
+
+
+def test_short_write_is_rolled_back(tmp_path):
+    class HalfWrites:
+        """A disk that fills halfway through the group."""
+
+        def __init__(self, raw):
+            self.raw = raw
+
+        def write(self, blob):
+            return self.raw.write(blob[: len(blob) // 2])
+
+        def __getattr__(self, name):
+            return getattr(self.raw, name)
+
+    path = tmp_path / "j.jsonl"
+    journal = Journal(path, sync="batch", batch_size=3)
+    journal.append("start", {"id": "a"})
+    journal.flush()
+    size_before = path.stat().st_size
+    journal.append("start", {"id": "b"})
+    raw, journal._handle = journal._handle, HalfWrites(journal._handle)
+    with pytest.raises(JournalWriteError, match="short"):
+        journal.flush()
+    assert path.stat().st_size == size_before  # no half record left behind
+    journal._handle = raw
+    assert journal.unsynced == 1  # "b" stays buffered for the next commit
+    journal.append("start", {"id": "c"})
+    journal.close()
+    assert [d["id"] for _, _, d in read_journal(path).records] == ["a", "b", "c"]
 
 
 def test_journal_lines_are_plain_jsonl(tmp_path):

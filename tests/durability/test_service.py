@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import errno
+import os
+
 import pytest
 
 from repro.core.errors import (
@@ -12,9 +15,9 @@ from repro.core.errors import (
 )
 from repro.core.registry import make_scheduler
 from repro.core.supervision import SupervisedScheduler
-from repro.durability.journal import read_journal
+from repro.durability.journal import JournalWriteError, read_journal
 from repro.durability.service import JOURNAL_NAME, DurableScheduler, recover
-from repro.durability.snapshot import list_snapshots
+from repro.durability.snapshot import list_snapshots, load_latest_snapshot
 from repro.faults.crash import CrashPoint, SimulatedCrash
 
 
@@ -280,3 +283,69 @@ def test_update_of_unknown_id_leaves_no_phantom_record(tmp_path):
         with pytest.raises(TimerIntervalError):
             durable.update_timer("a", 0)
         assert durable.journal.last_seq == before
+
+
+# ------------------------------------------------------------- I/O failures
+
+
+def test_commit_io_error_loses_no_acknowledged_timer(tmp_path, monkeypatch):
+    real_fsync = os.fsync
+    fsyncs = []
+
+    def second_fsync_fails(fd):
+        fsyncs.append(fd)
+        if len(fsyncs) == 2:
+            raise OSError(errno.EIO, "Input/output error")
+        real_fsync(fd)
+
+    monkeypatch.setattr("repro.durability.journal.os.fsync", second_fsync_fails)
+    durable = DurableScheduler(
+        make_scheduler("scheme1"),
+        tmp_path,
+        sync="batch",
+        batch_size=4,
+        snapshot_every=None,
+    )
+    acknowledged = []
+    for i in range(14):
+        try:
+            durable.start_timer(100, request_id=f"t{i}")
+        except JournalWriteError:
+            assert not durable.is_pending(f"t{i}")  # rejected, not applied
+        else:
+            acknowledged.append(f"t{i}")
+    durable.close()
+    assert len(acknowledged) == 13
+    recovered = recover(tmp_path, lambda: make_scheduler("scheme1"))
+    assert sorted(t.request_id for t in recovered.pending_timers()) == sorted(
+        acknowledged
+    )
+    recovered.close()
+
+
+def test_failed_snapshot_write_defers_without_failing_ops(tmp_path, monkeypatch):
+    attempts = []
+
+    def no_space(path, text, fsync=True):
+        attempts.append(path)
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr("repro.durability.snapshot.atomic_write_text", no_space)
+    durable = _plain(tmp_path, sync="never", snapshot_every=4)
+    for i in range(8):
+        durable.start_timer(100, request_id=f"t{i}")  # none of them raises
+    assert durable.pending_count == 8
+    # due at seq 4; the failure defers it to seq 8, not to every op
+    assert len(attempts) == 2
+    with pytest.raises(JournalWriteError, match="No space"):
+        durable.snapshot()  # an explicit snapshot still reports it
+    assert list_snapshots(tmp_path) == []
+
+    monkeypatch.undo()  # the disk has room again
+    for i in range(8, 12):
+        durable.start_timer(100, request_id=f"t{i}")
+    assert load_latest_snapshot(tmp_path).seq == 12
+    durable.close()
+    recovered = recover(tmp_path, lambda: make_scheduler("scheme1"))
+    assert recovered.pending_count == 12
+    recovered.close()

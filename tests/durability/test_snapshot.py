@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import errno
 import json
+import pathlib
 import zlib
 
 import pytest
@@ -43,6 +45,18 @@ def test_latest_wins_and_keep_prunes(tmp_path):
     names = [p.name for p in list_snapshots(tmp_path)]
     assert names == ["snapshot-000000000015.json", "snapshot-000000000020.json"]
     assert load_latest_snapshot(tmp_path).seq == 20
+
+
+def test_prune_failure_keeps_the_new_snapshot(tmp_path, monkeypatch):
+    def denied(self, missing_ok=False):
+        raise PermissionError(errno.EACCES, "Permission denied", str(self))
+
+    write_snapshot(tmp_path, _state(1), seq=5, journal_offset=0, keep=1)
+    monkeypatch.setattr(pathlib.Path, "unlink", denied)
+    newest = write_snapshot(tmp_path, _state(2), seq=9, journal_offset=0, keep=1)
+    assert newest == snapshot_path(tmp_path, 9)
+    assert len(list_snapshots(tmp_path)) == 2  # the stale one stays behind
+    assert load_latest_snapshot(tmp_path).seq == 9
 
 
 def test_corrupt_newest_falls_back_to_older(tmp_path):
