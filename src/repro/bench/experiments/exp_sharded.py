@@ -38,9 +38,8 @@ single queue and a shard merge.)
 the GIL caps scheme6 at ~1x. The sweep's second half re-runs the
 scheme6 service at 4 shards with ``store="soa"`` across every
 *execution backend* available on the host (``REPRO_SHARDED_BACKENDS``
-narrows the sweep): in-process locks, one worker process per shard with
-the timer columns in shared memory, and per-shard sub-interpreters on
-3.12+. Fingerprint identity is asserted on every row; the ≥ 2x
+narrows the sweep): in-process locks, and one worker process per shard
+with the timer columns in shared memory. Fingerprint identity is asserted on every row; the ≥ 2x
 multiprocessing-vs-inprocess throughput bar is enforced only when the
 host actually has ≥ 2 usable CPUs (the JSON records ``cpus`` so a
 reader can tell a genuine regression from a single-core runner).

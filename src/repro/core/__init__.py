@@ -47,6 +47,7 @@ from repro.core.scheme3_trees import (
     UnbalancedBSTScheduler,
 )
 from repro.core.clock import VirtualClock, WallClock
+from repro.core.layer import SchedulerLayer
 from repro.core.periodic import PeriodicTimer, every
 from repro.core.supervision import (
     OVERLOAD_POLICIES,
@@ -102,6 +103,7 @@ __all__ = [
     "every",
     "VirtualClock",
     "WallClock",
+    "SchedulerLayer",
     "ThreadSafeScheduler",
     "SupervisedScheduler",
     "RetryPolicy",

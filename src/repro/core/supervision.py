@@ -46,6 +46,7 @@ from typing import Callable, Dict, Hashable, List, Optional, Tuple, Union
 
 from repro.core.errors import TimerStateError, UnknownTimerError
 from repro.core.interface import ExpiryAction, Timer, TimerScheduler
+from repro.core.layer import SchedulerLayer
 from repro.core.observer import NULL_OBSERVER
 
 #: Recognised overload responses (see module docstring).
@@ -197,14 +198,16 @@ class _Entry:
         self.rearm_seq = 0
 
 
-class SupervisedScheduler:
-    """Fault-tolerant facade over any :class:`TimerScheduler`.
+class SupervisedScheduler(SchedulerLayer):
+    """Fault-tolerant layer over any :class:`TimerScheduler`.
 
-    Reproduces the scheduler's public surface; clients keep using their
-    own request ids (``stop_timer``/``is_pending`` resolve through any
-    number of internal re-arms). See the module docstring for the policy
-    tiers. The wrapped scheduler must not be driven directly once
-    supervised.
+    Forwards the :class:`~repro.core.layer.SchedulerLayer` surface;
+    clients keep using their own request ids (``stop_timer``,
+    ``update_timer``, ``get_timer`` and ``is_pending`` resolve through any
+    number of internal re-arms). ``restart_timer`` is deliberately absent:
+    a supervised timer is re-armed by the supervisor, not the client. See
+    the module docstring for the policy tiers. The wrapped scheduler must
+    not be driven directly once supervised.
     """
 
     def __init__(
@@ -225,7 +228,7 @@ class SupervisedScheduler:
             )
         if degrade_quantum < 1:
             raise ValueError(f"degrade_quantum must be >= 1, got {degrade_quantum}")
-        self._inner = scheduler
+        super().__init__(scheduler)
         self.retry_policy = retry_policy if retry_policy is not None else RetryPolicy()
         self.tick_budget = tick_budget
         self.overload_policy = overload_policy
@@ -291,6 +294,15 @@ class SupervisedScheduler:
         self._entries[origin] = _Entry(origin, callback, user_data, timer.deadline)
         return timer
 
+    def _unsupervised(self, origin: Hashable) -> Exception:
+        """The error for a client id that names no supervised timer."""
+        if origin in self.quarantine:
+            return TimerStateError(
+                f"timer {origin!r} is quarantined, not pending; "
+                "release_quarantined() to inspect or clear it"
+            )
+        return UnknownTimerError(f"no supervised timer with request_id {origin!r}")
+
     def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
         """STOP_TIMER by client id, resolving through any pending re-arm."""
         if isinstance(timer_or_id, Timer):
@@ -299,14 +311,7 @@ class SupervisedScheduler:
             origin = origin_of(timer_or_id)
         entry = self._entries.get(origin)
         if entry is None:
-            if origin in self.quarantine:
-                raise TimerStateError(
-                    f"timer {origin!r} is quarantined, not pending; "
-                    "release_quarantined() to inspect or clear it"
-                )
-            raise UnknownTimerError(
-                f"no supervised timer with request_id {origin!r}"
-            )
+            raise self._unsupervised(origin)
         stopped = self._inner.stop_timer(entry.inner_id)
         del self._entries[origin]
         return stopped
@@ -328,39 +333,22 @@ class SupervisedScheduler:
             origin = origin_of(timer_or_id)
         entry = self._entries.get(origin)
         if entry is None:
-            if origin in self.quarantine:
-                raise TimerStateError(
-                    f"timer {origin!r} is quarantined, not pending; "
-                    "release_quarantined() to inspect or clear it"
-                )
-            raise UnknownTimerError(
-                f"no supervised timer with request_id {origin!r}"
-            )
+            raise self._unsupervised(origin)
         updated = self._inner.update_timer(entry.inner_id, new_interval)
         entry.deadline = updated.deadline
         return updated
 
-    def tick(self) -> List[Timer]:
-        """Supervised PER_TICK_BOOKKEEPING (one tick)."""
-        return self._inner.tick()
+    def get_timer(self, request_id: Hashable) -> Timer:
+        """The inner record of a client timer, resolving through re-arms.
 
-    def advance(self, ticks: int) -> List[Timer]:
-        """Advance ``ticks`` ticks through the inner sparse fast path."""
-        return self._inner.advance(ticks)
-
-    def advance_to(self, deadline: int) -> List[Timer]:
-        """Advance the inner clock to absolute tick ``deadline``."""
-        return self._inner.advance_to(deadline)
-
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
-        """Drain every pending timer, retries included.
-
-        Terminates because retry chains are bounded by the policy's
-        attempt budget; a genuine livelock still raises
-        :class:`~repro.core.errors.TimerLivelockError` from the inner
-        scheduler.
+        Mid-retry this is the re-armed record (its ``request_id`` is the
+        current :class:`RearmId`); errors match :meth:`stop_timer`.
         """
-        return self._inner.run_until_idle(max_ticks=max_ticks)
+        origin = origin_of(request_id)
+        entry = self._entries.get(origin)
+        if entry is None:
+            raise self._unsupervised(origin)
+        return self._inner.get_timer(entry.inner_id)
 
     def shutdown(self) -> List[Timer]:
         """Cancel everything (retry re-arms included) and close the module."""
@@ -684,16 +672,10 @@ class SupervisedScheduler:
             ) from None
 
     # ------------------------------------------------------------ inspection
-
-    @property
-    def now(self) -> int:
-        """Current virtual time of the wrapped scheduler."""
-        return self._inner.now
-
-    @property
-    def pending_count(self) -> int:
-        """Outstanding *inner* timers (retry re-arms included)."""
-        return self._inner.pending_count
+    #
+    # ``pending_count``, ``pending_timers`` and ``next_expiry`` are the
+    # inner scheme's, so retry re-arms count as pending work; the counter
+    # is the inner scheme's too — supervision charges nothing.
 
     @property
     def supervised_count(self) -> int:
@@ -703,41 +685,6 @@ class SupervisedScheduler:
     def is_pending(self, request_id: Hashable) -> bool:
         """True while the client timer is live, across any re-arms."""
         return origin_of(request_id) in self._entries
-
-    def next_expiry(self) -> Optional[int]:
-        """Delegate to the inner scheme (re-arms count as pending work)."""
-        return self._inner.next_expiry()
-
-    def max_start_interval(self) -> Optional[int]:
-        """The inner scheme's interval bound (``None`` when unbounded)."""
-        return self._inner.max_start_interval()
-
-    def pending_timers(self):
-        """The inner scheme's live timers (retry re-arms included)."""
-        return self._inner.pending_timers()
-
-    @property
-    def counter(self):
-        """The inner scheme's :class:`OpCounter` — supervision is free."""
-        return self._inner.counter
-
-    @property
-    def scheme_name(self) -> str:
-        """The wrapped scheme's registry name."""
-        return self._inner.scheme_name
-
-    @property
-    def observer(self):
-        """The active observer (shared with the inner scheme)."""
-        return self._inner.observer
-
-    def attach_observer(self, observer):
-        """Attach ``observer`` to the inner scheme (supervision events included)."""
-        return self._inner.attach_observer(observer)
-
-    def detach_observer(self):
-        """Detach the active observer from the inner scheme."""
-        return self._inner.detach_observer()
 
     def counters(self) -> Dict[str, int]:
         """The supervision counters as one JSON-friendly dict."""

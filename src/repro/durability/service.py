@@ -44,6 +44,7 @@ from repro.core.errors import (
     TimerStateError,
 )
 from repro.core.interface import ExpiryAction, Timer
+from repro.core.layer import SchedulerLayer
 from repro.core.supervision import QuarantineRecord, origin_of
 from repro.core.validation import check_interval
 from repro.durability.journal import (
@@ -103,8 +104,15 @@ class RecoveryReport:
         return lines
 
 
-class DurableScheduler:
-    """Write-ahead-journaled facade over a scheduler stack.
+class DurableScheduler(SchedulerLayer):
+    """Write-ahead-journaled layer over a scheduler stack.
+
+    Journals every client mutation and clock motion before it reaches the
+    stack, and forwards the rest of the
+    :class:`~repro.core.layer.SchedulerLayer` surface unchanged;
+    ``restart_timer`` is deliberately absent. The service is
+    single-threaded: for client threads, put a
+    :class:`~repro.core.threadsafe.ThreadSafeScheduler` outermost.
 
     Request ids must be strings (they become JSON journal keys) and
     ``user_data`` must be JSON-serialisable; both are validated before
@@ -149,7 +157,7 @@ class DurableScheduler:
                     f"{journal_path} already holds a journal; use "
                     "repro.durability.recover() to resume it"
                 )
-        self.stack = scheduler
+        super().__init__(scheduler)
         self.snapshot_every = snapshot_every
         self.keep_snapshots = keep_snapshots
         self._state = state if state is not None else DurableState()
@@ -178,7 +186,7 @@ class DurableScheduler:
         user_data: object = None,
     ) -> Timer:
         """START_TIMER, journaled before the stack is touched."""
-        stack = self.stack
+        stack = self._inner
         auto = request_id is None
         if auto:
             request_id = f"auto-d{self._state.auto_seq}"
@@ -218,7 +226,7 @@ class DurableScheduler:
 
     def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
         """STOP_TIMER, journaled before the stack is touched."""
-        stack = self.stack
+        stack = self._inner
         if isinstance(timer_or_id, Timer):
             origin = origin_of(timer_or_id.request_id)
         else:
@@ -240,7 +248,7 @@ class DurableScheduler:
         so the journal stays one line per client op and the recovered id
         is the original one.
         """
-        stack = self.stack
+        stack = self._inner
         if isinstance(timer_or_id, Timer):
             origin = origin_of(timer_or_id.request_id)
         else:
@@ -265,18 +273,18 @@ class DurableScheduler:
 
     def tick(self) -> List[Timer]:
         """One supervised tick, with its clock motion journaled."""
-        return self._advance_to(self.stack.now + 1)
+        return self._advance_to(self._inner.now + 1)
 
     def advance(self, ticks: int) -> List[Timer]:
         """Advance ``ticks`` ticks; the clock motion is journaled first."""
-        return self._advance_to(self.stack.now + ticks)
+        return self._advance_to(self._inner.now + ticks)
 
     def advance_to(self, deadline: int) -> List[Timer]:
         """Advance to an absolute tick; the motion is journaled first."""
         return self._advance_to(deadline)
 
     def _advance_to(self, target: int) -> List[Timer]:
-        stack = self.stack
+        stack = self._inner
         if target > stack.now:
             self._append("advance", {"target": target})
         fired = stack.advance_to(target)
@@ -287,7 +295,7 @@ class DurableScheduler:
 
     def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
         """Drain the stack, then journal the net clock motion."""
-        stack = self.stack
+        stack = self._inner
         fired = stack.run_until_idle(max_ticks=max_ticks)
         if not self._supervised:
             self._journal_plain_expiries(fired)
@@ -298,7 +306,7 @@ class DurableScheduler:
 
     def sync_clock(self, wall_tick: int) -> List[Timer]:
         """Follow an external clock reading (supervised stacks only)."""
-        stack = self.stack
+        stack = self._inner
         if not hasattr(stack, "sync_clock"):
             raise TimerStateError(
                 "sync_clock requires a SupervisedScheduler stack"
@@ -310,7 +318,7 @@ class DurableScheduler:
 
     def shutdown(self) -> List[Timer]:
         """Shut the stack down and close the journal (flushes first)."""
-        cancelled = self.stack.shutdown()
+        cancelled = self._inner.shutdown()
         self.close()
         return cancelled
 
@@ -334,7 +342,7 @@ class DurableScheduler:
                     "id": str(timer.request_id),
                     "deadline": timer.deadline,
                     "attempts": 1,
-                    "now": self.stack.now,
+                    "now": self._inner.now,
                 },
             )
 
@@ -397,44 +405,13 @@ class DurableScheduler:
         return self._journal
 
     @property
-    def now(self) -> int:
-        """The stack's current tick."""
-        return self.stack.now
-
-    @property
-    def pending_count(self) -> int:
-        """Live timers in the stack."""
-        return self.stack.pending_count
-
-    def is_pending(self, request_id: Hashable) -> bool:
-        """Whether the stack holds a live timer for this id."""
-        return self.stack.is_pending(request_id)
-
-    def next_expiry(self) -> Optional[int]:
-        """The stack's next expiry tick, or ``None`` when idle."""
-        return self.stack.next_expiry()
-
-    def max_start_interval(self) -> Optional[int]:
-        """The stack's interval bound (see PER_TICK bookkeeping docs)."""
-        return self.stack.max_start_interval()
-
-    def pending_timers(self):
-        """The stack's live timers (scheme-defined iteration order)."""
-        return self.stack.pending_timers()
-
-    @property
-    def counter(self):
-        """The stack's operation counter."""
-        return self.stack.counter
-
-    @property
-    def scheme_name(self) -> str:
-        """The underlying scheme module's name."""
-        return self.stack.scheme_name
+    def stack(self):
+        """The wrapped stack (what :func:`recover`'s ``build_stack`` builds)."""
+        return self._inner
 
     def introspect(self) -> Dict[str, object]:
         """The stack's introspection dict plus a ``"durability"`` section."""
-        info = self.stack.introspect()
+        info = self._inner.introspect()
         info["durability"] = {
             "directory": str(self.directory),
             "sync": self._journal.sync,
@@ -451,7 +428,7 @@ class DurableScheduler:
 
     def __repr__(self) -> str:
         return (
-            f"DurableScheduler({self.stack!r}, dir={str(self.directory)!r}, "
+            f"DurableScheduler({self._inner!r}, dir={str(self.directory)!r}, "
             f"sync={self._journal.sync!r}, seq={self._journal.last_seq})"
         )
 

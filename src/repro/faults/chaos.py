@@ -272,8 +272,8 @@ class ChaosSupervisedShard(SupervisedScheduler):
 
     Owns its *own* :class:`FaultInjector` so the whole assembly lives on
     whichever side of a backend boundary the shard scheduler does — in
-    this process (inprocess backend) or inside a worker
-    (multiprocessing / subinterpreter backends). Every STARTed callback
+    this process (inprocess backend) or inside a worker process
+    (multiprocessing backend). Every STARTed callback
     is wrapped at this seam; supervisor re-arms go through the inner
     scheduler directly, so the wrap happens exactly once per client
     timer.
@@ -380,7 +380,7 @@ def run_chaos_sharded(
 
     Every shard is a :class:`ChaosSupervisedShard` — a supervised
     scheme with its own fault injector — hosted wherever ``backend``
-    puts it (this process, a worker process, a sub-interpreter). Client
+    puts it (this process or a worker process). Client
     ops route through the service so each request id lands on its
     stable shard; the order-dependent fault seams (allocator pressure,
     stop races) run client-side through one shared injector, exactly as

@@ -5,7 +5,6 @@ backend                   shards execute in                          GIL
 ========================  =========================================  ==========
 ``inprocess``             this interpreter, per-shard locks          shared
 ``multiprocessing``       one worker process per shard + shm plane   one each
-``subinterpreters``       one sub-interpreter per shard (3.12+)      one each
 ========================  =========================================  ==========
 """
 
@@ -24,13 +23,9 @@ from repro.sharding.backends.base import (
     encode_timer,
 )
 
-#: Registry name -> backend class path (imported lazily; the
-#: multiprocessing and subinterpreter modules cost fork/interp probes).
-BACKEND_NAMES: Tuple[str, ...] = (
-    "inprocess",
-    "multiprocessing",
-    "subinterpreters",
-)
+#: Registered backend names (classes imported lazily; the
+#: multiprocessing module costs a fork probe).
+BACKEND_NAMES: Tuple[str, ...] = ("inprocess", "multiprocessing")
 
 
 def _backend_class(name: str):
@@ -42,10 +37,6 @@ def _backend_class(name: str):
         from repro.sharding.backends.mp import MultiprocessingBackend
 
         return MultiprocessingBackend
-    if name == "subinterpreters":
-        from repro.sharding.backends.subinterp import SubinterpreterBackend
-
-        return SubinterpreterBackend
     raise ValueError(
         f"unknown backend {name!r}; choose from {', '.join(BACKEND_NAMES)}"
     )
@@ -63,9 +54,6 @@ def backend_availability() -> Dict[str, Tuple[bool, str]]:
         multiprocessing.get_context("fork")
     except ValueError:  # pragma: no cover - non-POSIX hosts
         report["multiprocessing"] = (False, "no fork start method")
-    from repro.sharding.backends.subinterp import availability
-
-    report["subinterpreters"] = availability()
     return report
 
 

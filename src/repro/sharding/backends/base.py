@@ -15,9 +15,6 @@ shard's scheduler lives and how operations reach it:
   (:class:`~repro.structures.soa.SharedSoATimerStore`), batched ops
   crossing the pipe once per shard per batch. Appendix B's "one
   processor per shard", GIL actually broken.
-* :class:`~repro.sharding.backends.subinterp.SubinterpreterBackend` —
-  one sub-interpreter per shard (per-interpreter GIL, Python 3.12+),
-  same wire protocol over OS pipes, threads instead of processes.
 
 The protocol is five methods — ``submit_batch``, ``advance_to``,
 ``drain_expired``, ``introspect``, ``close`` — plus a ``scatter``
@@ -227,7 +224,7 @@ class ShardBackend:
     every OS resource (workers, pipes, shared memory, pools).
     """
 
-    #: Registry name ("inprocess", "multiprocessing", "subinterpreters").
+    #: Registry name ("inprocess" or "multiprocessing").
     name: str = "?"
     #: Live shard schedulers when they run in this interpreter, else None.
     #: ``None`` is the capability switch: wire-encode targets/results,
@@ -335,8 +332,8 @@ class ShardPlane:
     them structurally so remote backends can rebuild each shard inside a
     worker — attaching a shared-memory SoA store when the scheme was
     asked for ``store="soa"``. A user ``shard_factory`` leaves them
-    ``None``: remote backends then ship the callable itself (fork
-    inherits it; sub-interpreters require it to be picklable).
+    ``None``: the multiprocessing backend then ships the callable itself
+    (fork inherits it).
     """
 
     def __init__(

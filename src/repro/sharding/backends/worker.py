@@ -1,9 +1,8 @@
 """The remote shard worker: one loop, any transport.
 
-Both the multiprocessing backend (duplex pipes, one process per shard)
-and the sub-interpreter backend (OS pipes, one interpreter per shard)
-run this exact loop — the transport only supplies ``recv_bytes`` /
-``send_bytes`` callables. Messages are pickled tuples::
+The multiprocessing backend (duplex pipes, one process per shard) runs
+this loop; the transport only supplies ``recv_bytes`` / ``send_bytes``
+callables. Messages are pickled tuples::
 
     ("ops", ops, stop_on_error) -> ("results", [encoded OpResult, ...])
     ("advance", deadline)       -> ("results", ("ok", [wire timers]))

@@ -14,7 +14,7 @@ stable hash of the request id (:mod:`repro.sharding.partition`).
 The service owns the *policy*: routing, batching, merge order, auto ids,
 and the virtual clock. Where the shard schedulers *execute* is a
 :class:`~repro.sharding.backends.base.ShardBackend`
-(``backend="inprocess" | "multiprocessing" | "subinterpreters"``):
+(``backend="inprocess" | "multiprocessing"``):
 
 * **inprocess** (default) — per-shard locks in this interpreter.
   START/STOP for different request ids contend only when the ids hash to
@@ -23,8 +23,6 @@ and the virtual clock. Where the shard schedulers *execute* is a
 * **multiprocessing** — one worker process per shard, machine-word timer
   state in a shared-memory SoA block per shard, batched ops crossing
   each pipe once. Appendix B's "one processor per shard", literally.
-* **subinterpreters** — one per-shard sub-interpreter (own GIL each,
-  Python 3.12+), same wire protocol, no processes.
 
 Whatever the backend, the client surface and every fingerprint are
 identical; backends may only change where time is spent. Remote backends
@@ -137,8 +135,7 @@ class ShardedTimerService:
         not meter"). ``shard_factory`` overrides construction entirely —
         ``shard_factory(index)`` must return the scheduler for shard
         ``index`` (use this to wrap each shard in supervision or fault
-        injection; the subinterpreters backend additionally requires it
-        to be picklable).
+        injection).
 
         ``parallel=True`` advances in-process shards via a worker pool
         (see the module docstring for the callback caveat); remote

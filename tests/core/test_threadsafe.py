@@ -81,7 +81,7 @@ def test_concurrent_clients_and_ticker():
     ticker_thread.join()
 
     assert errors == []
-    inner = wrapped._scheduler
+    inner = wrapped._inner
     assert (
         inner.total_started
         == inner.total_stopped + inner.total_expired + inner.pending_count

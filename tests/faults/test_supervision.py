@@ -148,6 +148,33 @@ def test_stop_timer_resolves_through_pending_rearm():
     assert sup.survivors == []  # never fired
 
 
+def test_get_timer_reads_the_rearm_record_mid_retry():
+    sup = supervised(retry_policy=RetryPolicy(max_attempts=3, base_backoff=4))
+    first = sup.start_timer(5, request_id="t", callback=FailTimes(1))
+    assert sup.get_timer("t") is first
+    sup.advance(5)  # failed once; re-armed 4 ticks out under RearmId("t", 1)
+    assert sup.is_pending("t")
+    record = sup.get_timer("t")
+    assert record is first  # one record for the whole retry chain
+    assert record.request_id == RearmId("t", 1)
+    assert record.deadline == 9
+    assert sup.get_timer(RearmId("t", 1)) is record
+    sup.advance(4)  # the retry succeeds
+    assert not sup.is_pending("t")
+    with pytest.raises(UnknownTimerError):
+        sup.get_timer("t")
+
+
+def test_get_timer_of_a_quarantined_id_raises_like_stop_and_update():
+    sup = supervised(retry_policy=RetryPolicy(max_attempts=1))
+    sup.start_timer(3, request_id="q", callback=FailTimes(9))
+    sup.advance(3)
+    assert "q" in sup.quarantine
+    for call in (sup.get_timer, sup.stop_timer, lambda rid: sup.update_timer(rid, 5)):
+        with pytest.raises(TimerStateError, match="quarantined"):
+            call("q")
+
+
 def test_duplicate_client_id_rejected_while_retrying():
     sup = supervised(retry_policy=RetryPolicy(max_attempts=5, base_backoff=100))
     sup.start_timer(2, request_id="t", callback=FailTimes(99))

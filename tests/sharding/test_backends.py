@@ -1,4 +1,4 @@
-"""Backend parity: one service surface, three execution substrates.
+"""Backend parity: one service surface, two execution substrates.
 
 The :class:`~repro.sharding.service.ShardedTimerService` contract is
 that ``backend=`` may only change *where* shard schedulers execute —
@@ -11,8 +11,8 @@ workers surfacing as :class:`ShardFaultError` instead of hangs) and the
 capability boundary (live-object surfaces refuse cleanly on remote
 backends).
 
-Backends that cannot run here (e.g. subinterpreters before 3.12) must
-*skip* — visibly, with the availability reason — not fail.
+Backends that cannot run here (multiprocessing without a fork start
+method) must *skip* — visibly, with the availability reason — not fail.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from repro.sharding.backends import (
 )
 from repro.sharding.service import ShardedTimerService
 
-ALL_BACKENDS = ("inprocess", "multiprocessing", "subinterpreters")
+ALL_BACKENDS = ("inprocess", "multiprocessing")
 
 
 def backend_params(include_inprocess: bool = True):
@@ -237,16 +237,23 @@ def test_unknown_backend_is_rejected():
         ShardedTimerService("scheme6", 2, backend="carrier-pigeon")
 
 
-def test_unavailable_backend_raises_cleanly():
-    report = backend_availability()
-    unavailable = [n for n, (ok, _) in report.items() if not ok]
-    if not unavailable:
-        pytest.skip("every backend is available on this host")
+def test_unavailable_backend_raises_cleanly(monkeypatch):
+    """A host without the fork start method reports multiprocessing as
+    unavailable, and building it raises instead of half-starting."""
+    import multiprocessing
+
     from repro.sharding.backends.base import ShardPlane
 
+    def no_fork(method=None):
+        raise ValueError(f"cannot find context for {method!r}")
+
+    monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+    report = backend_availability()
+    assert report["multiprocessing"] == (False, "no fork start method")
+    assert available_backends() == ["inprocess"]
     plane = ShardPlane(lambda index: None)
     with pytest.raises(BackendUnavailableError):
-        make_backend(unavailable[0], 2, plane)
+        make_backend("multiprocessing", 2, plane)
 
 
 @pytest.mark.parametrize("backend", backend_params(include_inprocess=False))

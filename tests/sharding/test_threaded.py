@@ -146,13 +146,9 @@ def _build(surface):
 
 
 def _remote_backend_params():
-    report = backend_availability()
-    params = []
-    for name in ("multiprocessing", "subinterpreters"):
-        usable, reason = report[name]
-        marks = [] if usable else [pytest.mark.skip(reason=reason)]
-        params.append(pytest.param(name, marks=marks))
-    return params
+    usable, reason = backend_availability()["multiprocessing"]
+    marks = [] if usable else [pytest.mark.skip(reason=reason)]
+    return [pytest.param("multiprocessing", marks=marks)]
 
 
 def _run_plans_threaded_remote(service, plans, fired):
@@ -204,7 +200,7 @@ def _run_plans_threaded_remote(service, plans, fired):
 @pytest.mark.parametrize("backend", _remote_backend_params())
 def test_racing_clients_over_remote_backend(backend):
     """The racing invariants hold when every client op crosses a process
-    (or interpreter) boundary: no lost expiries, no double fires, and
+    boundary: no lost expiries, no double fires, and
     bookkeeping identical to an in-process control run of the same plan."""
     plans = _make_plans()
     started, stopped = _expected_outcome(plans)
