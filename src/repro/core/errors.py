@@ -47,8 +47,8 @@ class StaleTimerHandleError(TimerStateError):
     """A generation-tagged handle outlived the timer record it named.
 
     Raised when a :class:`~repro.core.interface.TimerHandle` (or a
-    struct-of-arrays handle) is used after its record was finalised and
-    recycled into a *different* timer. Distinct from plain
+    struct-of-arrays handle) is used after its record was re-armed, or
+    its row reused, as a *different* timer. Distinct from plain
     :class:`TimerStateError` because the record the caller would have
     addressed is not "their timer in the wrong state" — it is somebody
     else's timer entirely, and silently operating on it is the

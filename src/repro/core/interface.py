@@ -52,7 +52,7 @@ from repro.core.errors import (
 from repro.core.observer import NULL_OBSERVER, TimerObserver
 from repro.core.validation import check_interval
 from repro.cost.counters import OpCounter
-from repro.structures.dlist import DNode
+from repro.structures.dlist import DLinkedList, DNode
 
 #: Signature of an Expiry_Action: called with the expired timer.
 ExpiryAction = Callable[["Timer"], None]
@@ -152,10 +152,10 @@ class Timer(DNode):
         and the precision experiments read this field.
     ``generation``
         Incarnation counter for the record. 0 on allocation; bumped each
-        time the ``recycle=True`` free list re-issues the record as a new
-        timer. :attr:`handle` captures it so a reference held across a
-        free-and-reuse raises :class:`StaleTimerHandleError` instead of
-        silently addressing the recycled timer.
+        time :meth:`TimerScheduler.restart_timer` re-arms the record as a
+        new timer leg. :attr:`handle` captures it so a reference held
+        across a re-arm raises :class:`StaleTimerHandleError` instead of
+        silently addressing the new leg.
     """
 
     __slots__ = (
@@ -220,12 +220,12 @@ class Timer(DNode):
     ) -> None:
         """Reset a finalised (expired/stopped, unlinked) record for reuse.
 
-        The free-list path of :class:`TimerScheduler` (``recycle=True``)
-        calls this instead of allocating; every field is restored to its
-        ``__init__`` state except the DNode links, which are already
-        detached on any finalised record, and :attr:`generation`, which is
-        bumped so handles captured against the previous incarnation go
-        stale instead of aliasing the new timer.
+        :meth:`TimerScheduler.restart_timer` calls this instead of
+        allocating; every field is restored to its ``__init__`` state
+        except the DNode links, which are already detached on any
+        finalised record, and :attr:`generation`, which is bumped so
+        handles captured against the previous incarnation go stale instead
+        of aliasing the new timer.
         """
         self.generation += 1
         self.request_id = request_id
@@ -255,10 +255,11 @@ class Timer(DNode):
     def handle(self) -> "TimerHandle":
         """A generation-tagged reference to *this incarnation* of the record.
 
-        Safe to hold across a ``recycle=True`` free-and-reuse: once the
-        record is re-issued as a different timer, resolving the handle
-        raises :class:`StaleTimerHandleError` instead of silently
-        addressing the recycled timer.
+        Safe to hold across a re-arm: once
+        :meth:`TimerScheduler.restart_timer` re-issues the record as a new
+        timer leg, resolving the handle raises
+        :class:`StaleTimerHandleError` instead of silently addressing the
+        new leg.
         """
         return TimerHandle(self, self.generation)
 
@@ -272,13 +273,13 @@ class Timer(DNode):
 class TimerHandle:
     """An immutable ``(record, generation)`` pair naming one timer incarnation.
 
-    The raw :class:`Timer` object is an ambiguous reference under
-    ``recycle=True``: after the record is finalised and reused, the same
-    object *is* a different timer, so ``stop_timer(stale_record)`` would
-    silently cancel somebody else's timer. A handle captures the
-    generation at hand-out; every resolution checks it, and a mismatch
-    raises :class:`StaleTimerHandleError`. ``stop_timer``, ``get_timer``
-    and ``is_pending`` all accept handles.
+    The raw :class:`Timer` object is an ambiguous reference once
+    :meth:`TimerScheduler.restart_timer` has re-armed it: the same object
+    *is* a different timer leg, possibly under another request id, so
+    ``stop_timer(stale_record)`` would silently cancel the new leg. A
+    handle captures the generation at hand-out; every resolution checks
+    it, and a mismatch raises :class:`StaleTimerHandleError`.
+    ``stop_timer``, ``get_timer`` and ``is_pending`` all accept handles.
     """
 
     __slots__ = ("record", "generation")
@@ -298,7 +299,7 @@ class TimerHandle:
 
     @property
     def stale(self) -> bool:
-        """True once the record has been recycled into a newer incarnation."""
+        """True once the record has been re-armed as a newer incarnation."""
         return self.record.generation != self.generation
 
     def resolve(self) -> Timer:
@@ -306,7 +307,7 @@ class TimerHandle:
         if self.record.generation != self.generation:
             raise StaleTimerHandleError(
                 f"handle (generation {self.generation}) is stale: the record "
-                f"was recycled and now holds generation "
+                f"was re-armed and now holds generation "
                 f"{self.record.generation} "
                 f"(currently {self.record.request_id!r})"
             )
@@ -336,9 +337,7 @@ class TimerScheduler(abc.ABC):
     #: facility must not let one bad client action starve the rest).
     ERROR_POLICIES = ("propagate", "collect")
 
-    def __init__(
-        self, counter: Optional[OpCounter] = None, recycle: bool = False
-    ) -> None:
+    def __init__(self, counter: Optional[OpCounter] = None) -> None:
         self.counter = counter if counter is not None else OpCounter()
         #: lifecycle observer; the shared no-op by default so the hook
         #: sites cost one attribute load + empty call when uninstrumented.
@@ -357,15 +356,6 @@ class TimerScheduler(abc.ABC):
         #: :attr:`dropped_errors`.
         self.callback_errors: BoundedErrorLog = BoundedErrorLog()
         self._shut_down = False
-        #: opt-in Timer free list (``recycle=True``): finalised records are
-        #: pooled and reused by the next START_TIMER, cutting allocation
-        #: churn in long-running drivers. Contract: with recycling on, a
-        #: record returned by tick()/stop_timer() stays valid only until a
-        #: later start_timer claims it — callers that retain expired records
-        #: (or use the "collect" error policy and inspect ``callback_errors``
-        #: late) should leave recycling off.
-        self._recycle = bool(recycle)
-        self._free_timers: List[Timer] = []
 
     def set_error_policy(self, policy: str) -> None:
         """Choose what happens when an Expiry_Action raises.
@@ -472,12 +462,7 @@ class TimerScheduler(abc.ABC):
             raise TimerStateError(
                 f"request_id {request_id!r} already names a pending timer"
             )
-        if self._recycle and self._free_timers:
-            timer = self._obtain_record(
-                request_id, interval, callback, user_data
-            )
-        else:
-            timer = Timer(request_id, interval, self._now, callback, user_data)
+        timer = Timer(request_id, interval, self._now, callback, user_data)
         self._insert(timer)
         active[request_id] = timer
         self.total_started += 1
@@ -486,29 +471,11 @@ class TimerScheduler(abc.ABC):
             observer.on_start(self, timer)
         return timer
 
-    def _obtain_record(
-        self,
-        request_id: Hashable,
-        interval: int,
-        callback: Optional[ExpiryAction],
-        user_data: object,
-    ) -> Timer:
-        """Pop a record off the recycle free list (``start_timer`` calls this
-        only when the list is non-empty), allocating if it is unusable."""
-        candidate = self._free_timers.pop()
-        # A pooled record must be fully detached; anything still linked
-        # (a client re-inserted it by hand) is dropped, not aliased.
-        if not candidate.linked and candidate._pq_node is None:
-            candidate._reinit(
-                request_id, interval, self._now, callback, user_data
-            )
-            return candidate
-        return Timer(request_id, interval, self._now, callback, user_data)
-
     @property
     def free_record_count(self) -> int:
-        """Recycled Timer records currently pooled (0 unless ``recycle=True``)."""
-        return len(self._free_timers)
+        """Finalised records pooled for reuse: always 0 here, where every
+        START allocates its record; the SoA store reports its free rows."""
+        return 0
 
     def stop_timer(self, timer_or_id: Union[Timer, Hashable]) -> Timer:
         """STOP_TIMER: cancel a pending timer by record, handle, or id.
@@ -519,7 +486,7 @@ class TimerScheduler(abc.ABC):
         expired or was already stopped, and
         :class:`~repro.core.errors.StaleTimerHandleError` when a
         :class:`TimerHandle` outlived its incarnation (the record was
-        recycled into a different timer).
+        re-armed as a different timer leg).
         """
         active = self._active
         timer = active.get(timer_or_id)
@@ -538,8 +505,6 @@ class TimerScheduler(abc.ABC):
         observer = self.observer
         if observer is not NULL_OBSERVER:
             observer.on_stop(self, timer)
-        if self._recycle:
-            self._free_timers.append(timer)
         return timer
 
     def update_timer(
@@ -644,13 +609,6 @@ class TimerScheduler(abc.ABC):
             raise TimerStateError(
                 f"request_id {new_id!r} already names a pending timer"
             )
-        # Drop the record from the free pool if stop_timer already pooled
-        # it — restarting must not leave an aliased copy behind.
-        if self._recycle and self._free_timers:
-            try:
-                self._free_timers.remove(timer)
-            except ValueError:
-                pass
         stopped_at, expired_at, fired_at = (
             timer.stopped_at, timer.expired_at, timer.fired_at,
         )
@@ -720,15 +678,6 @@ class TimerScheduler(abc.ABC):
         if observing:
             observer.on_tick_end(self, len(expired))
         sink.extend(expired)
-        # Records are pooled only after every callback of the tick has run,
-        # so a re-entrant start_timer can never alias a record that is
-        # still being processed this tick. A callback may have restarted
-        # the very record that just expired — a record that is PENDING
-        # again is live and must not be pooled.
-        if self._recycle and expired:
-            self._free_timers.extend(
-                t for t in expired if t.state is not TimerState.PENDING
-            )
         return len(expired)
 
     def advance(self, ticks: int) -> List[Timer]:
@@ -817,7 +766,7 @@ class TimerScheduler(abc.ABC):
         expired: List[Timer] = []
         start_now = self._now
         cap = start_now + max_ticks
-        while self._active:
+        while self.pending_count:
             if self._now - start_now >= max_ticks:
                 if self.observer is not NULL_OBSERVER:
                     self.observer.on_anomaly(
@@ -977,7 +926,7 @@ class TimerScheduler(abc.ABC):
             "scheme": self.scheme_name,
             "store": "object",
             "now": self._now,
-            "pending": len(self._active),
+            "pending": self.pending_count,
             "total_started": self.total_started,
             "total_stopped": self.total_stopped,
             "total_expired": self.total_expired,
@@ -986,11 +935,17 @@ class TimerScheduler(abc.ABC):
             "dropped_errors": self.callback_errors.dropped,
             "shut_down": self._shut_down,
         }
-        if self._recycle:
-            info["free_records"] = len(self._free_timers)
         return info
 
     # ------------------------------------------------------- subclass hooks
+
+    @staticmethod
+    def _new_chains(count: int) -> List[DLinkedList]:
+        """The chain table of a wheel with ``count`` slots: one intrusive
+        list per slot. Schemes 4, 6 and 7 build their slots through this
+        hook; the SoA store overrides it with an ``array('q')`` head table
+        (:class:`~repro.core.soa_base.SoATimerScheduler`)."""
+        return [DLinkedList() for _ in range(count)]
 
     @abc.abstractmethod
     def _insert(self, timer: Timer) -> None:

@@ -30,7 +30,7 @@ Declaration = Dict[str, Tuple[Optional[str], str]]
 READS: Declaration = {
     "now": (None, "Current tick."),
     "pending_count": (None, "Outstanding timers."),
-    "free_record_count": (None, "Recycled records pooled by the scheme."),
+    "free_record_count": (None, "Free rows pooled by an SoA store; 0 otherwise."),
     "is_shut_down": (None, "True after :meth:`shutdown`."),
     "ERROR_POLICIES": (None, "The accepted error-policy names."),
     "scheme_name": (None, "The wrapped scheme's registry name."),

@@ -37,9 +37,8 @@ class OrderedListScheduler(TimerScheduler):
         self,
         direction: SearchDirection = SearchDirection.FROM_HEAD,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         self._queue = SortedDList(
             key=lambda node: node.deadline,  # type: ignore[attr-defined]
             direction=direction,

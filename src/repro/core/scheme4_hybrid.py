@@ -43,9 +43,8 @@ class HybridWheelScheduler(TimerScheduler):
         self,
         max_interval: int = 4096,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         check_positive_int("max_interval", max_interval)
         if max_interval < 2:
             raise TimerConfigurationError("max_interval must be at least 2")

@@ -25,13 +25,13 @@ from typing import Dict, List, Optional
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import store_class
 from repro.core.validation import check_positive_int
 from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
-from repro.structures.dlist import DLinkedList
 
-#: Charged ``(reads, writes, compares, links)`` per routine; the SoA twin
-#: charges these same constants.
+#: Charged ``(reads, writes, compares, links)`` per routine; the SoA store's
+#: row hooks charge these same constants.
 #: START: index computation + push at the head of the slot list.
 INSERT_CHARGE = (1, 1, 0, 1)  # = 3
 #: STOP: one unlink.
@@ -52,7 +52,8 @@ class TimingWheelScheduler(TimerScheduler):
 
     ``store`` selects the timer representation: ``"object"`` (default)
     keeps per-timer :class:`Timer` records on intrusive lists;
-    ``"soa"`` returns the struct-of-arrays twin
+    ``"soa"`` builds the subclass that keeps them as rows of a
+    struct-of-arrays store
     (:class:`~repro.core.soa_schemes.SoATimingWheelScheduler`) — same
     scheme, same OpCounter charges and expiry order, a fraction of the
     memory per timer (see ``docs/performance.md``).
@@ -61,31 +62,16 @@ class TimingWheelScheduler(TimerScheduler):
     scheme_name = "scheme4"
 
     def __new__(cls, *args, store: str = "object", **kwargs):
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not TimingWheelScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct TimingWheelScheduler directly"
-                )
-            from repro.core.soa_schemes import SoATimingWheelScheduler
-
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoATimingWheelScheduler(*args, **kwargs)
-        return super().__new__(cls)
+        return super().__new__(store_class(cls, TimingWheelScheduler, store))
 
     def __init__(
         self,
         max_interval: int,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
         store: str = "object",
         soa_store=None,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         if soa_store is not None:
             raise TimerConfigurationError(
                 "soa_store requires store='soa'"
@@ -95,7 +81,7 @@ class TimingWheelScheduler(TimerScheduler):
             # A 1-slot wheel can hold no interval (they must be < max).
             raise TimerConfigurationError("max_interval must be at least 2")
         self.max_interval = max_interval
-        self._slots = [DLinkedList() for _ in range(max_interval)]
+        self._slots = self._new_chains(max_interval)
         self._cursor = 0  # the paper's current time pointer, in [0, max)
         # One bit per slot, set while the slot list is non-empty; pure
         # fast-path bookkeeping, never charged to the counter.

@@ -28,15 +28,16 @@ from typing import Dict, List, Optional
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import store_class
 from repro.core.validation import check_positive_int
 from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
-from repro.structures.dlist import DLinkedList
 
 
 #: Operation mixes ``(reads, writes, compares, links)`` calibrated to the
 #: Section 7 instruction counts (one cheap instruction per abstract op under
-#: the default VaxCostModel). The SoA twin charges these same constants.
+#: the default VaxCostModel). The SoA store's row hooks charge these same
+#: constants.
 INSERT_CHARGE = (4, 4, 1, 4)  # = 13
 DELETE_CHARGE = (2, 1, 0, 4)  # = 7
 EMPTY_TICK_CHARGE = (2, 1, 1, 0)  # = 4
@@ -54,41 +55,29 @@ class HashedWheelUnsortedScheduler(TimerScheduler):
     scheme_name = "scheme6"
 
     def __new__(cls, *args, store: str = "object", **kwargs):
-        """``store="soa"`` returns the struct-of-arrays twin (same scheme,
-        same charges, a fraction of the memory; see ``docs/performance.md``).
+        """``store="soa"`` builds the struct-of-arrays subclass (same
+        scheme, same charges, a fraction of the memory; see
+        ``docs/performance.md``).
         """
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not HashedWheelUnsortedScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct HashedWheelUnsortedScheduler directly"
-                )
-            from repro.core.soa_schemes import SoAHashedWheelUnsortedScheduler
-
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoAHashedWheelUnsortedScheduler(*args, **kwargs)
-        return super().__new__(cls)
+        return super().__new__(
+            store_class(cls, HashedWheelUnsortedScheduler, store)
+        )
 
     def __init__(
         self,
         table_size: int = 256,
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
         store: str = "object",
         soa_store=None,
     ) -> None:
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         if soa_store is not None:
             raise TimerConfigurationError(
                 "soa_store requires store='soa'"
             )
         check_positive_int("table_size", table_size)
         self.table_size = table_size
-        self._buckets = [DLinkedList() for _ in range(table_size)]
+        self._buckets = self._new_chains(table_size)
         self._cursor = 0
         # One bit per bucket, set while the bucket is non-empty; fast-path
         # bookkeeping only, never charged.

@@ -39,10 +39,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer, TimerScheduler
 from repro.core.introspect import occupancy_summary
+from repro.core.soa_base import store_class
 from repro.core.validation import check_positive_int
 from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
 from repro.structures.bitmap import SlotBitmap
-from repro.structures.dlist import DLinkedList
 
 #: Seconds / minutes / hours / days, the paper's worked example (Figure 10),
 #: with granularity 1 tick = 1 second. Spans 100 days of ticks.
@@ -52,8 +52,8 @@ PAPER_LEVELS: Tuple[int, ...] = (60, 60, 24, 100)
 #: 256 slots spanning 2**32 ticks.
 BINARY_LEVELS: Tuple[int, ...] = (256, 256, 256, 256)
 
-#: Charged ``(reads, writes, compares, links)`` per routine; the SoA twin
-#: and the Nichols variants charge these same constants.
+#: Charged ``(reads, writes, compares, links)`` per routine; the SoA store's
+#: row hooks and the Nichols variants charge these same constants.
 #: START and every migration: index computation + link, plus one compare
 #: per level the placement rule scans (the O(m) search of Section 6.2).
 PLACE_CHARGE = (1, 1, 0, 1)
@@ -73,24 +73,28 @@ DRAIN_CHARGE = (1, 0, 0, 1)
 
 
 class _Level:
-    """One wheel in the hierarchy: its slot lists and occupancy bitmap.
+    """One wheel in the hierarchy: its chain table and occupancy bitmap.
 
-    The occupancy bit of a slot (the sparse-tick fast path's index, never
-    charged to the counter) is set exactly while the slot list is
-    non-empty; every mutation flips it when a list goes from empty to
-    non-empty or back.
+    ``slots`` is the scheduler's chain table for this wheel (one
+    intrusive list per slot on the object store, a head table on the SoA
+    store; see ``TimerScheduler._new_chains``). The occupancy bit of a
+    slot (the sparse-tick fast path's index, never charged to the counter)
+    is set exactly while the slot's chain is non-empty; every mutation
+    flips it when a chain goes from empty to non-empty or back.
     """
 
     __slots__ = (
         "index", "slot_count", "granularity", "span", "slots", "occupancy"
     )
 
-    def __init__(self, index: int, slot_count: int, granularity: int) -> None:
+    def __init__(
+        self, index: int, slot_count: int, granularity: int, slots
+    ) -> None:
         self.index = index
         self.slot_count = slot_count
         self.granularity = granularity
         self.span = granularity * slot_count
-        self.slots = [DLinkedList() for _ in range(slot_count)]
+        self.slots = slots
         self.occupancy = SlotBitmap(slot_count)
 
     def slot_for(self, deadline: int) -> int:
@@ -107,33 +111,20 @@ class HierarchicalWheelScheduler(TimerScheduler):
     scheme_name = "scheme7"
 
     def __new__(cls, *args, store: str = "object", **kwargs):
-        """``store="soa"`` returns the struct-of-arrays twin (same scheme,
-        same charges, a fraction of the memory; see ``docs/performance.md``).
-        Only the base hierarchy supports it — the Nichols variants keep
-        their object records.
+        """``store="soa"`` builds the struct-of-arrays subclass (same
+        scheme, same charges, a fraction of the memory; see
+        ``docs/performance.md``). Only the base hierarchy supports it — the
+        Nichols variants keep their object records.
         """
-        if store not in ("object", "soa"):
-            raise TimerConfigurationError(
-                f"store must be 'object' or 'soa', got {store!r}"
-            )
-        if store == "soa":
-            if cls is not HierarchicalWheelScheduler:
-                raise TimerConfigurationError(
-                    f"store='soa' is not available on {cls.__name__}; "
-                    "construct HierarchicalWheelScheduler directly"
-                )
-            from repro.core.soa_schemes import SoAHierarchicalWheelScheduler
-
-            # Not a subclass, so __init__ below is skipped: build it whole.
-            return SoAHierarchicalWheelScheduler(*args, **kwargs)
-        return super().__new__(cls)
+        return super().__new__(
+            store_class(cls, HierarchicalWheelScheduler, store)
+        )
 
     def __init__(
         self,
         slot_counts: Sequence[int] = PAPER_LEVELS,
         counter: Optional[OpCounter] = None,
         placement: str = "paper",
-        recycle: bool = False,
         store: str = "object",
         soa_store=None,
     ) -> None:
@@ -149,7 +140,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
           migrations, same expiry ticks; the ablation bench quantifies the
           difference.
         """
-        super().__init__(counter, recycle=recycle)
+        super().__init__(counter)
         if soa_store is not None:
             raise TimerConfigurationError(
                 "soa_store requires store='soa'"
@@ -169,7 +160,9 @@ class HierarchicalWheelScheduler(TimerScheduler):
                 raise TimerConfigurationError(
                     f"slot_counts[{index}] must be >= 2 to be a wheel"
                 )
-            self._levels.append(_Level(index, count, granularity))
+            self._levels.append(
+                _Level(index, count, granularity, self._new_chains(count))
+            )
             granularity *= count
         self.total_span = granularity  # product of all slot counts
         self.total_slots = sum(level.slot_count for level in self._levels)
@@ -220,7 +213,7 @@ class HierarchicalWheelScheduler(TimerScheduler):
                     "cursor": (self._now // level.granularity)
                     % level.slot_count,
                     "occupancy": occupancy_summary(
-                        [len(slot) for slot in level.slots]
+                        self.slot_sizes(level.index)
                     ),
                 }
                 for level in self._levels

@@ -50,13 +50,12 @@ class LossyHierarchicalScheduler(HierarchicalWheelScheduler):
         slot_counts: Sequence[int] = PAPER_LEVELS,
         rounding: str = "nearest",
         counter: Optional[OpCounter] = None,
-        recycle: bool = False,
     ) -> None:
         if rounding not in ("nearest", "down"):
             raise TimerConfigurationError(
                 f"rounding must be 'nearest' or 'down', got {rounding!r}"
             )
-        super().__init__(slot_counts, counter, recycle=recycle)
+        super().__init__(slot_counts, counter)
         self.rounding = rounding
 
     def introspect(self) -> Dict[str, object]:

@@ -40,10 +40,8 @@ class LawnScheduler(TimerScheduler):
 
     scheme_name = "lawn"
 
-    def __init__(
-        self, counter: Optional[OpCounter] = None, recycle: bool = False
-    ) -> None:
-        super().__init__(counter, recycle=recycle)
+    def __init__(self, counter: Optional[OpCounter] = None) -> None:
+        super().__init__(counter)
         #: TTL (interval, in ticks) -> FIFO bucket sorted by deadline.
         self._buckets: Dict[int, DLinkedList] = {}
 

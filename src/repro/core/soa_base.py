@@ -1,15 +1,22 @@
-"""Scheduler base for struct-of-arrays timer storage.
+"""The struct-of-arrays store: the row client API of schemes 4, 6 and 7.
 
-:class:`SoATimerScheduler` is the row-oriented twin of
-:class:`~repro.core.interface.TimerScheduler`: same four-routine client
-API, same observer stream, same error policies and sparse-tick fast path
-(all inherited), but every pending timer is a row in one
+:class:`SoATimerScheduler` replaces a wheel scheme's chain storage.
+Each SoA class subclasses its object scheme with this class ahead of it
+in the MRO (``class SoATimingWheelScheduler(SoATimerScheduler,
+TimingWheelScheduler)``), so the scheme's constructor checks, geometry,
+``introspect``, ``next_expiry`` and sparse-tick fast path exist once;
+only the record store differs. Every pending timer is a row in one
 :class:`~repro.structures.soa.SoATimerStore` instead of a heap-allocated
-:class:`~repro.core.interface.Timer`. Concrete schemes implement
-``_insert_row`` / ``_remove_row`` / ``_collect_expired`` over the store's
-link columns (see :mod:`repro.core.soa_schemes`) and must charge the
-OpCounter **bit-identically** to their object-store twins — the
+:class:`~repro.core.interface.Timer`, each wheel slot is an entry of an
+``array('q')`` head table (the :meth:`~SoATimerScheduler._new_chains`
+hook), and the SoA class implements the row hooks ``_insert_row``,
+``_remove_row``, ``_update_row`` and ``_collect_expired`` over the store's
+link columns (see :mod:`repro.core.soa_schemes`). They charge the
+OpCounter **bit-identically** to the object scheme's hooks — the
 equivalence suites diff the counters and expiry streams between stores.
+
+:func:`store_class` is the ``store=`` switch the three object schemes'
+``__new__`` share.
 
 Identity model
 --------------
@@ -31,9 +38,11 @@ so everything downstream — supervision, spans, chaos fingerprints,
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Hashable, List, Optional, Union
 
 from repro.core.errors import (
+    TimerConfigurationError,
     TimerStateError,
     UnknownTimerError,
 )
@@ -45,42 +54,70 @@ from repro.core.interface import (
 )
 from repro.core.observer import NULL_OBSERVER
 from repro.core.validation import check_interval
-from repro.cost.counters import OpCounter
-from repro.structures.soa import SoATimerStore, SoATimerView
+from repro.structures.soa import NIL, SoATimerStore, SoATimerView
+
+
+def store_class(cls: type, scheme: type, store: str) -> type:
+    """The class a wheel scheme's ``store=`` switch constructs.
+
+    ``scheme`` is the object scheme whose ``__new__`` asks and ``cls`` the
+    class being constructed. ``"object"`` keeps ``cls``; ``"soa"`` picks
+    the scheme's struct-of-arrays subclass, ``"SoA" + scheme.__name__`` in
+    :mod:`repro.core.soa_schemes`. Only the scheme class itself has one:
+    its other subclasses, such as the Nichols variants, keep their object
+    records. Python then runs the chosen class's ``__init__`` once.
+    """
+    if store not in ("object", "soa"):
+        raise TimerConfigurationError(
+            f"store must be 'object' or 'soa', got {store!r}"
+        )
+    if store == "object" or issubclass(cls, SoATimerScheduler):
+        return cls
+    if cls is not scheme:
+        raise TimerConfigurationError(
+            f"store='soa' is not available on {cls.__name__}; "
+            f"construct {scheme.__name__} directly"
+        )
+    from repro.core import soa_schemes
+
+    return getattr(soa_schemes, "SoA" + scheme.__name__)
 
 
 class SoATimerScheduler(TimerScheduler):
-    """Abstract scheduler whose pending timers live in an SoA store.
+    """Row client API, listed ahead of a wheel scheme in an SoA class's MRO.
 
-    Subclasses own the wheel geometry (head tables, cursors, bitmaps) and
-    implement the three row hooks; clock advance, observer dispatch,
-    expiry-action policies, and the ``advance_to`` fast path are inherited
-    unchanged from :class:`TimerScheduler`.
+    Replaces the record client API (START, STOP, UPDATE, restart,
+    shutdown, lookups) and the chain table; the scheme behind it keeps its
+    geometry, cursors, bitmaps and fast-path planning, and clock advance,
+    observer dispatch and expiry-action policies come unchanged from
+    :class:`TimerScheduler`. The SoA class supplies the row hooks
+    ``_insert_row``, ``_remove_row``, ``_update_row(row, new_interval)``
+    and ``_collect_expired``.
     """
 
     def __init__(
-        self,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        soa_store: Optional[SoATimerStore] = None,
+        self, *args, soa_store: Optional[SoATimerStore] = None, **kwargs
     ) -> None:
-        # ``recycle`` is accepted for constructor parity with the object
-        # schemes and ignored: SoA rows are *always* pooled — the free
-        # list is the allocator, not an opt-in cache.
-        #
         # ``soa_store`` injects a pre-built store — the shard backends use
         # it to hand a scheduler a shared-memory-backed
         # :class:`~repro.structures.soa.SharedSoATimerStore` so the timer
         # state lives in an OS shm block instead of process-private heap.
-        super().__init__(counter, recycle=False)
         if soa_store is not None and soa_store.live_count:
             raise ValueError(
                 "injected store already holds live rows; schedulers must "
                 "start from an empty store"
             )
+        super().__init__(*args, **kwargs)
         self._store = soa_store if soa_store is not None else SoATimerStore()
         #: explicit client id -> row; auto-id rows appear in no dict at all.
         self._id_rows: Dict[Hashable, int] = {}
+
+    @staticmethod
+    def _new_chains(count: int) -> array:
+        """A head table: one row index per slot, ``NIL`` while its chain
+        is empty; chains run through the store's ``next``/``prev``
+        columns."""
+        return array("q", [NIL]) * count
 
     # ------------------------------------------------------------ client API
 
@@ -157,22 +194,6 @@ class SoATimerScheduler(TimerScheduler):
         if observer is not NULL_OBSERVER:
             observer.on_update(self, view, old_deadline)
         return view
-
-    def _update_row(self, row: int, new_interval: int) -> None:
-        """Re-place ``row`` at ``now + new_interval``.
-
-        Default: the scheme's own unlink → column rewrite → relink (slots
-        are derived from the *old* deadline, so the removal runs first).
-        The wheel twins override this with the same fused UPDATE charge as
-        their object twins.
-        """
-        self._remove_row(row)
-        store = self._store
-        now = self._now
-        store.started_col[row] = now
-        store.deadline_col[row] = now + new_interval
-        store.aux_col[row] = 0
-        self._insert_row(row)
 
     def restart_timer(
         self,
@@ -265,35 +286,6 @@ class SoATimerScheduler(TimerScheduler):
         self._shut_down = True
         return cancelled
 
-    def run_until_idle(self, max_ticks: int = 1_000_000) -> List[Timer]:
-        """Advance until no rows remain live (see base-class docstring)."""
-        from repro.core.errors import TimerLivelockError
-
-        expired: List[Timer] = []
-        start_now = self._now
-        cap = start_now + max_ticks
-        while self._store.live_count:
-            if self._now - start_now >= max_ticks:
-                if self.observer is not NULL_OBSERVER:
-                    self.observer.on_anomaly(
-                        self,
-                        "livelock",
-                        {
-                            "pending": self.pending_count,
-                            "max_ticks": max_ticks,
-                            "now": self._now,
-                        },
-                    )
-                raise TimerLivelockError(
-                    f"{self.pending_count} timer(s) still pending after "
-                    f"{max_ticks} ticks (now={self._now}); raise max_ticks "
-                    "or stop the self-re-arming timers"
-                )
-            event = self._next_event()
-            target = cap if event is None else min(event, cap)
-            self.advance_to(target, _sink=expired)
-        return expired
-
     # ------------------------------------------------------------ inspection
 
     @property
@@ -346,7 +338,6 @@ class SoATimerScheduler(TimerScheduler):
         info = super().introspect()
         store = self._store
         info["store"] = "soa"
-        info["pending"] = store.live_count
         info["free_records"] = store.free_count
         info["store_bytes"] = store.bytes_estimate()
         per_timer = store.bytes_per_timer()
@@ -411,16 +402,9 @@ class SoATimerScheduler(TimerScheduler):
 
     # ------------------------------------------------------------- row hooks
 
-    def _insert_row(self, row: int) -> None:
-        """Place ``row`` into the scheme's structure (charges ops)."""
-        raise NotImplementedError
-
-    def _remove_row(self, row: int) -> None:
-        """Remove pending ``row`` from the structure (charges ops)."""
-        raise NotImplementedError
-
-    # The object-record hooks are dead code on an SoA scheme; defined so
-    # the ABC is satisfiable, loud if something reaches them.
+    # The SoA class defines the row hooks. The object-record hooks of the
+    # scheme behind this class are dead code on the row store; these
+    # shadow them, loud if something reaches them.
 
     def _insert(self, timer: Timer) -> None:  # pragma: no cover - guard
         raise TypeError("SoA schedulers place rows, not Timer records")

@@ -1,24 +1,29 @@
 """Schemes 4, 6 and 7 over the struct-of-arrays store.
 
-Each class here is the row-oriented twin of one hot wheel scheme —
+Each class here subclasses one hot wheel scheme —
 :class:`~repro.core.scheme4_wheel.TimingWheelScheduler`,
 :class:`~repro.core.scheme6_hashed_unsorted.HashedWheelUnsortedScheduler`
 and :class:`~repro.core.scheme7_hierarchical.HierarchicalWheelScheduler`
-— selected by passing ``store="soa"`` to the object class's constructor
-(the ``__new__`` dispatch lives there, so registry names and client code
-never change). Wheel slots are ``array('q')`` head tables; chains run
-through the store's ``next``/``prev`` columns; the scheme-private word
-(Scheme 6's rounds count, Scheme 7's level) lives in the ``aux`` column.
+— and replaces only its chain storage. It is selected by passing
+``store="soa"`` to the object class's constructor (the ``__new__``
+dispatch lives there, so registry names and client code never change).
+:class:`~repro.core.soa_base.SoATimerScheduler`, ahead of the scheme in
+the MRO, supplies the row client API and turns every chain table the
+scheme builds into an ``array('q')`` head table; chains run through the
+store's ``next``/``prev`` columns, and the scheme-private word (Scheme 6's
+rounds count, Scheme 7's level) lives in the ``aux`` column. What is left
+here is the row hooks: START, STOP, UPDATE and the tick walk over rows.
 
 Equivalence contract (enforced by ``tests/core/test_soa_store.py`` and
 the chaos differential): for any operation sequence, an SoA scheme and
-its object twin produce **bit-identical** OpCounter totals, expiry order,
-occupancy-bitmap state and sparse-tick events. Every charge below is one
-of the twin module's constants (imported, never copied), including
-Scheme 6's calibrated Section 7 instruction mixes; intra-slot expiry order
-is preserved because ``link_front`` + front-to-back drain is exactly
-``push_front`` + ``drain()``. What differs is only memory: no per-timer
-objects, no pointer-chased lists — the regime the MILLIONS bench prices.
+its object scheme produce **bit-identical** OpCounter totals, expiry
+order, occupancy-bitmap state and sparse-tick events. Every charge below
+is one of the scheme module's constants (imported, never copied),
+including Scheme 6's calibrated Section 7 instruction mixes; intra-slot
+expiry order is preserved because ``link_front`` + front-to-back drain is
+exactly ``push_front`` + ``drain()``. What differs is only memory: no
+per-timer objects, no pointer-chased lists — the regime the MILLIONS
+bench prices.
 
 Slot indices are *derived*, not stored: scheme 4's wheel keeps the
 invariant ``cursor == now % max_interval``, so a pending row's slot is
@@ -29,87 +34,29 @@ scheme 7). That is what frees the store from a per-timer slot field.
 
 from __future__ import annotations
 
-from array import array
-from typing import Dict, List, Optional, Sequence
+from typing import List
 
 from repro.core import scheme4_wheel as scheme4
 from repro.core import scheme6_hashed_unsorted as scheme6
 from repro.core import scheme7_hierarchical as scheme7
-from repro.core.errors import TimerConfigurationError
 from repro.core.interface import Timer
-from repro.core.introspect import occupancy_summary
 from repro.core.observer import NULL_OBSERVER
 from repro.core.soa_base import SoATimerScheduler
-from repro.core.validation import check_positive_int
-from repro.cost.counters import NO_CHARGE, OpCounter, charge_folded
-from repro.structures.bitmap import SlotBitmap
+from repro.cost.counters import charge_folded
 from repro.structures.soa import NIL, SoATimerView
 
 
-class SoATimingWheelScheduler(SoATimerScheduler):
+class SoATimingWheelScheduler(SoATimerScheduler, scheme4.TimingWheelScheduler):
     """Scheme 4 on the SoA store: circular head table, one tick per slot."""
-
-    scheme_name = "scheme4"
-
-    def __init__(
-        self,
-        max_interval: int,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        soa_store=None,
-    ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        check_positive_int("max_interval", max_interval)
-        if max_interval < 2:
-            raise TimerConfigurationError("max_interval must be at least 2")
-        self.max_interval = max_interval
-        self._heads = array("q", [NIL]) * max_interval
-        self._cursor = 0  # invariant: cursor == now % max_interval
-        self._occupancy = SlotBitmap(max_interval)
-
-    def max_start_interval(self) -> Optional[int]:
-        return self.max_interval
-
-    @property
-    def cursor(self) -> int:
-        """Current time pointer (index into the circular head table)."""
-        return self._cursor
 
     def slot_sizes(self) -> List[int]:
         """Occupancy of each slot, for inspection and tests."""
         store = self._store
-        return [store.chain_length(head) for head in self._heads]
-
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "wheel",
-            "max_interval": self.max_interval,
-            "cursor": self._cursor,
-            "slot_occupancy": occupancy_summary(self.slot_sizes()),
-        }
-        return info
-
-    def next_expiry(self) -> Optional[int]:
-        """Exact: every occupied slot's visit tick *is* a deadline here."""
-        index = self._occupancy.next_set_circular(
-            (self._cursor + 1) % self.max_interval
-        )
-        if index is None:
-            return None
-        distance = (index - self._cursor - 1) % self.max_interval + 1
-        return self._now + distance
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        self._cursor = (self._cursor + count) % self.max_interval
-        charge_folded(self.counter, NO_CHARGE, count, scheme4.TICK_CHARGE)
+        return [store.chain_length(head) for head in self._slots]
 
     def _insert_row(self, row: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._slots
         index = store.deadline_col[row] % self.max_interval
         self.counter.charge(*scheme4.INSERT_CHARGE)
         if heads[index] == NIL:
@@ -118,7 +65,7 @@ class SoATimingWheelScheduler(SoATimerScheduler):
 
     def _remove_row(self, row: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._slots
         index = store.deadline_col[row] % self.max_interval
         store.unlink(heads, index, row)
         self.counter.charge(*scheme4.DELETE_CHARGE)
@@ -127,7 +74,7 @@ class SoATimingWheelScheduler(SoATimerScheduler):
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._slots
         deadline_col = store.deadline_col
         index = deadline_col[row] % self.max_interval
         store.unlink(heads, index, row)
@@ -144,7 +91,7 @@ class SoATimingWheelScheduler(SoATimerScheduler):
 
     def _collect_expired(self) -> List[Timer]:
         cursor = self._cursor = (self._cursor + 1) % self.max_interval
-        heads = self._heads
+        heads = self._slots
         row = heads[cursor]
         expired: List[Timer] = []
         if row != NIL:
@@ -165,70 +112,21 @@ class SoATimingWheelScheduler(SoATimerScheduler):
         return expired
 
 
-class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
+class SoAHashedWheelUnsortedScheduler(
+    SoATimerScheduler, scheme6.HashedWheelUnsortedScheduler
+):
     """Scheme 6 on the SoA store: hashed head table, rounds in ``aux``."""
-
-    scheme_name = "scheme6"
-
-    def __init__(
-        self,
-        table_size: int = 256,
-        counter: Optional[OpCounter] = None,
-        recycle: bool = False,
-        soa_store=None,
-    ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        check_positive_int("table_size", table_size)
-        self.table_size = table_size
-        self._heads = array("q", [NIL]) * table_size
-        self._cursor = 0  # invariant: cursor == now % table_size
-        self._occupancy = SlotBitmap(table_size)
-        #: bucket entries visited (decremented or expired) across all ticks.
-        self.entry_visits = 0
-
-    @property
-    def cursor(self) -> int:
-        """Current time pointer (index into the hash array)."""
-        return self._cursor
 
     def bucket_sizes(self) -> List[int]:
         """Occupancy of each bucket, for inspection and tests."""
         store = self._store
-        return [store.chain_length(head) for head in self._heads]
+        return [store.chain_length(head) for head in self._buckets]
 
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "hashed-wheel-unsorted",
-            "table_size": self.table_size,
-            "cursor": self._cursor,
-            "chains": occupancy_summary(self.bucket_sizes()),
-            "entry_visits": self.entry_visits,
-        }
-        return info
-
-    def next_expiry(self) -> Optional[int]:
-        """Next occupied-bucket visit: a lower bound on the next firing."""
-        index = self._occupancy.next_set_circular(
-            (self._cursor + 1) % self.table_size
-        )
-        if index is None:
-            return None
-        distance = (index - self._cursor - 1) % self.table_size + 1
-        return self._now + distance
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        self._cursor = (self._cursor + count) % self.table_size
-        charge_folded(self.counter, NO_CHARGE, count, scheme6.EMPTY_TICK_CHARGE)
-
-    # Rounds are ``(interval - 1) // size``, as in the object twin.
+    # Rounds are ``(interval - 1) // size``, as in the object scheme.
 
     def _insert_row(self, row: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._buckets
         deadline = store.deadline_col[row]
         size = self.table_size
         index = deadline % size
@@ -240,7 +138,7 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
 
     def _remove_row(self, row: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._buckets
         index = store.deadline_col[row] % self.table_size
         store.unlink(heads, index, row)
         self.counter.charge(*scheme6.DELETE_CHARGE)
@@ -249,7 +147,7 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
 
     def _update_row(self, row: int, new_interval: int) -> None:
         store = self._store
-        heads = self._heads
+        heads = self._buckets
         deadline_col = store.deadline_col
         size = self.table_size
         index = deadline_col[row] % size
@@ -270,7 +168,7 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
         # Walk the whole bucket, expiring zero-count entries and
         # decrementing the rest — "exactly as in Scheme 1", per bucket.
         cursor = self._cursor = (self._cursor + 1) % self.table_size
-        heads = self._heads
+        heads = self._buckets
         row = heads[cursor]
         expired: List[Timer] = []
         visits = 0
@@ -301,117 +199,19 @@ class SoAHashedWheelUnsortedScheduler(SoATimerScheduler):
         return expired
 
 
-class _SoALevel:
-    """One wheel of the SoA hierarchy: a head table plus its bitmap."""
-
-    __slots__ = (
-        "index", "slot_count", "granularity", "span", "heads", "occupancy"
-    )
-
-    def __init__(self, index: int, slot_count: int, granularity: int) -> None:
-        self.index = index
-        self.slot_count = slot_count
-        self.granularity = granularity
-        self.span = granularity * slot_count
-        self.heads = array("q", [NIL]) * slot_count
-        self.occupancy = SlotBitmap(slot_count)
-
-
-class SoAHierarchicalWheelScheduler(SoATimerScheduler):
+class SoAHierarchicalWheelScheduler(
+    SoATimerScheduler, scheme7.HierarchicalWheelScheduler
+):
     """Scheme 7 on the SoA store: per-level head tables, level in ``aux``."""
-
-    scheme_name = "scheme7"
-
-    def __init__(
-        self,
-        slot_counts: Sequence[int] = (60, 60, 24, 100),
-        counter: Optional[OpCounter] = None,
-        placement: str = "paper",
-        recycle: bool = False,
-        soa_store=None,
-    ) -> None:
-        super().__init__(counter, recycle=recycle, soa_store=soa_store)
-        if placement not in ("paper", "span"):
-            raise TimerConfigurationError(
-                f"placement must be 'paper' or 'span', got {placement!r}"
-            )
-        self.placement = placement
-        if not slot_counts:
-            raise TimerConfigurationError("at least one level is required")
-        self._levels: List[_SoALevel] = []
-        granularity = 1
-        for index, count in enumerate(slot_counts):
-            check_positive_int(f"slot_counts[{index}]", count)
-            if count < 2:
-                raise TimerConfigurationError(
-                    f"slot_counts[{index}] must be >= 2 to be a wheel"
-                )
-            self._levels.append(_SoALevel(index, count, granularity))
-            granularity *= count
-        self.total_span = granularity
-        self.total_slots = sum(level.slot_count for level in self._levels)
-        self.migrations = 0
-        self.cascades = 0
-
-    # ------------------------------------------------------------ inspection
-
-    @property
-    def levels(self) -> int:
-        """Number of wheels (the paper's ``m``)."""
-        return len(self._levels)
-
-    def level_granularities(self) -> List[int]:
-        """Tick width of one slot at each level."""
-        return [level.granularity for level in self._levels]
-
-    def level_spans(self) -> List[int]:
-        """Total ticks covered by each level's wheel."""
-        return [level.span for level in self._levels]
-
-    def cursor_positions(self) -> List[int]:
-        """Current slot index of each level's conceptual cursor."""
-        return [
-            (self._now // level.granularity) % level.slot_count
-            for level in self._levels
-        ]
 
     def slot_sizes(self, level: int) -> List[int]:
         """Occupancy of each slot at ``level``, for inspection and tests."""
         store = self._store
-        return [store.chain_length(h) for h in self._levels[level].heads]
-
-    def max_start_interval(self) -> Optional[int]:
-        return self.total_span
-
-    def introspect(self) -> Dict[str, object]:
-        info = super().introspect()
-        info["structure"] = {
-            "kind": "hierarchy",
-            "levels": [
-                {
-                    "index": level.index,
-                    "slot_count": level.slot_count,
-                    "granularity": level.granularity,
-                    "span": level.span,
-                    "cursor": (self._now // level.granularity)
-                    % level.slot_count,
-                    "occupancy": occupancy_summary(
-                        self.slot_sizes(level.index)
-                    ),
-                }
-                for level in self._levels
-            ],
-            "placement": self.placement,
-            "migrations": self.migrations,
-            "cascades": self.cascades,
-        }
-        return info
-
-    # ------------------------------------------------------------- internals
+        return [store.chain_length(h) for h in self._levels[level].slots]
 
     def _place(self, row: int) -> None:
         """Insert ``row`` at the level its placement rule selects (the object
-        twin's :meth:`_place`, over the head tables)."""
+        scheme's :meth:`_place`, over the head tables)."""
         store = self._store
         deadline = store.deadline_col[row]
         now = self._now
@@ -435,16 +235,16 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         store.aux_col[row] = level.index
         reads, writes, compares, links = scheme7.PLACE_CHARGE
         self.counter.charge(reads, writes, compares + scanned, links)
-        if level.heads[slot_index] == NIL:
+        if level.slots[slot_index] == NIL:
             level.occupancy.set(slot_index)
-        store.link_front(level.heads, slot_index, row)
+        store.link_front(level.slots, slot_index, row)
 
     _insert_row = _place
 
     def _remove_row(self, row: int) -> None:
         store = self._store
         level = self._levels[store.aux_col[row]]
-        heads = level.heads
+        heads = level.slots
         slot_index = (
             store.deadline_col[row] // level.granularity
         ) % level.slot_count
@@ -457,7 +257,7 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         store = self._store
         deadline_col = store.deadline_col
         level = self._levels[store.aux_col[row]]
-        heads = level.heads
+        heads = level.slots
         slot_index = (deadline_col[row] // level.granularity) % level.slot_count
         store.unlink(heads, slot_index, row)
         if heads[slot_index] == NIL:
@@ -465,7 +265,7 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         now = self._now
         store.started_col[row] = now
         deadline = deadline_col[row] = now + new_interval
-        # Uncharged placement search, mirroring the object twin's fused
+        # Uncharged placement search, mirroring the object scheme's fused
         # update: same destination rule as _place, one UPDATE charge.
         if self.placement == "paper":
             for level in reversed(self._levels):
@@ -475,7 +275,7 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
             for level in self._levels:
                 if new_interval < level.span:
                     break
-        heads = level.heads
+        heads = level.slots
         slot_index = (deadline // level.granularity) % level.slot_count
         store.aux_col[row] = level.index
         self.counter.charge(*scheme7.UPDATE_CHARGE)
@@ -501,44 +301,6 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
                     store.aux_col[row],
                 )
 
-    def next_expiry(self) -> Optional[int]:
-        """Next tick that visits an occupied slot on any level."""
-        best: Optional[int] = None
-        now = self._now
-        for level in self._levels:
-            if not level.occupancy.any():
-                continue
-            unit_now = now // level.granularity
-            index = level.occupancy.next_set_circular(
-                (unit_now + 1) % level.slot_count
-            )
-            if index is None:
-                continue
-            unit_distance = (index - unit_now - 1) % level.slot_count + 1
-            visit = (unit_now + unit_distance) * level.granularity
-            if best is None or visit < best:
-                best = visit
-        return best
-
-    def _next_event(self) -> Optional[int]:
-        return self.next_expiry()
-
-    def _charge_empty_ticks(self, count: int) -> None:
-        now = self._now
-        crossings = 0
-        for level in self._levels[1:]:
-            g = level.granularity
-            crossings += (now + count) // g - now // g
-        self.cascades += crossings
-        charge_folded(
-            self.counter,
-            NO_CHARGE,
-            count,
-            scheme7.TICK_CHARGE,
-            crossings,
-            scheme7.CASCADE_CHARGE,
-        )
-
     def _collect_expired(self) -> List[Timer]:
         expired: List[Timer] = []
         now = self._now
@@ -552,10 +314,10 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
                 continue
             cascades += 1
             slot_index = (now // level.granularity) % level.slot_count
-            row = level.heads[slot_index]
+            row = level.slots[slot_index]
             if row != NIL:
                 level.occupancy.clear(slot_index)  # the drain empties it
-                level.heads[slot_index] = NIL
+                level.slots[slot_index] = NIL
                 while row != NIL:
                     nxt = next_col[row]
                     drained += 1
@@ -566,10 +328,10 @@ class SoAHierarchicalWheelScheduler(SoATimerScheduler):
         # Level 0 advances every tick and expires with exact precision.
         base = self._levels[0]
         slot_index = now % base.slot_count
-        row = base.heads[slot_index]
+        row = base.slots[slot_index]
         if row != NIL:
             base.occupancy.clear(slot_index)
-            base.heads[slot_index] = NIL
+            base.slots[slot_index] = NIL
             finalize = self._finalize_expired
             while row != NIL:
                 nxt = next_col[row]

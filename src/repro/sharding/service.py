@@ -700,7 +700,7 @@ class ShardedTimerService:
 
     @property
     def free_record_count(self) -> int:
-        """Pooled recycled records across all shards."""
+        """Free SoA rows pooled across all shards."""
         return sum(self._scatter_get("free_record_count"))
 
     def pending_timers(self) -> List[Timer]:

@@ -21,8 +21,8 @@ Handles are generation-tagged: the packed public handle is
 generation, so a handle held across a free-and-reuse raises
 :class:`~repro.core.errors.StaleTimerHandleError` instead of silently
 addressing the recycled timer — the same contract
-:class:`~repro.core.interface.TimerHandle` gives the object store's
-``recycle=True`` free list, enforced natively here (the free list *is*
+:class:`~repro.core.interface.TimerHandle` gives an object record that
+``restart_timer`` re-arms, enforced natively here (the free list *is*
 the allocator).
 
 Live rows are exposed to clients as :class:`SoATimerView` flyweights
@@ -65,12 +65,11 @@ def unpack_handle(handle: int) -> "tuple[int, int]":
 class SoATimerStore:
     """Parallel-column timer records addressed by generation-tagged rows.
 
-    The store owns allocation (a row free list — the recycle free-list
-    idea promoted to *the* allocator), the per-row fields, and the
-    intrusive linked-list plumbing that wheel schemes run through the
-    ``next``/``prev`` columns. It knows nothing about wheels: schemes own
-    their head tables and cursors and call :meth:`link_front` /
-    :meth:`unlink` / :meth:`pop_front` with them.
+    The store owns allocation (a row free list is *the* allocator), the
+    per-row fields, and the intrusive linked-list plumbing that wheel
+    schemes run through the ``next``/``prev`` columns. It knows nothing
+    about wheels: schemes own their head tables and cursors and call
+    :meth:`link_front` / :meth:`unlink` / :meth:`pop_front` with them.
     """
 
     __slots__ = (

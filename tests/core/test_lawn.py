@@ -121,12 +121,3 @@ def test_introspect_structure():
     assert info["structure"]["kind"] == "lawn"
     assert info["structure"]["ttl_buckets"] == 2
     assert info["store"] == "object"
-
-
-def test_recycle_supported():
-    sched = LawnScheduler(recycle=True)
-    timer = sched.start_timer(3, request_id="r1")
-    sched.advance(3)
-    reused = sched.start_timer(5, request_id="r2")
-    assert reused is timer  # the pooled record came back
-    assert sched.free_record_count == 0

@@ -1,21 +1,15 @@
-"""Opt-in Timer record recycling (``recycle=True``).
+"""Record allocation on the object store: every START gets a fresh record.
 
-The invariant under test: a pooled record is only ever handed back out
-*after* it is fully finalised — never while it is pending, and never
-while the tick that expired it is still running callbacks — so no two
-live handles can alias one record.
+There is no record free list: ``start_timer`` allocates, a finalised
+record stays valid indefinitely, and ``free_record_count`` reads 0 on
+every object scheme. Only ``restart_timer`` reuses a record, in place
+(see ``tests/core/test_stale_handles.py``); the SoA store reports its
+free rows (``tests/core/test_soa_store.py``).
 """
 
 from __future__ import annotations
 
-import random
-
-import pytest
-
-from repro.core import make_scheduler
 from repro.core.interface import TimerState
-
-from tests.conftest import ALL_SCHEMES, build
 
 
 def test_off_by_default(any_scheduler):
@@ -26,94 +20,3 @@ def test_off_by_default(any_scheduler):
     assert replacement is not timer
     # Finalised records stay valid indefinitely without recycling.
     assert timer.state is TimerState.STOPPED
-
-
-class TestPoolMechanics:
-    def test_stopped_record_is_reused(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(10, request_id="a")
-        scheduler.stop_timer(timer)
-        assert scheduler.free_record_count == 1
-        reused = scheduler.start_timer(20, request_id="b")
-        assert reused is timer
-        assert scheduler.free_record_count == 0
-        assert reused.request_id == "b"
-        assert reused.interval == 20
-        assert reused.pending
-        assert reused.stopped_at is None
-
-    def test_expired_record_is_reused(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(2)
-        scheduler.advance(2)
-        assert timer.state is TimerState.EXPIRED
-        assert scheduler.free_record_count == 1
-        assert scheduler.start_timer(5) is timer
-
-    def test_introspect_reports_pool_depth(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        for timer in [scheduler.start_timer(10) for _ in range(3)]:
-            scheduler.stop_timer(timer)
-        assert scheduler.introspect()["free_records"] == 3
-        plain = make_scheduler("scheme6")
-        assert "free_records" not in plain.introspect()
-
-    def test_reinit_restores_every_init_field(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        timer = scheduler.start_timer(
-            7, request_id="x", callback=lambda t: None, user_data={"k": 1}
-        )
-        scheduler.advance(7)
-        reused = scheduler.start_timer(9, request_id="y")
-        assert reused is timer
-        assert reused.callback is None
-        assert reused.user_data is None
-        assert reused.expired_at is None
-        assert reused.fired_at is None
-        assert reused.deadline == scheduler.now + 9
-
-
-class TestNoAliasingWhileActive:
-    def test_pending_records_are_never_handed_out(self):
-        scheduler = make_scheduler("scheme6", recycle=True)
-        live = [scheduler.start_timer(1000 + i) for i in range(5)]
-        for fresh in (scheduler.start_timer(50 + i) for i in range(5)):
-            assert all(fresh is not t for t in live)
-
-    def test_reentrant_start_cannot_reuse_this_ticks_record(self):
-        """Pooling happens after the tick's callbacks, not during them."""
-        scheduler = make_scheduler("scheme6", recycle=True)
-        grabbed = []
-
-        def expire_action(timer):
-            grabbed.append(scheduler.start_timer(30))
-
-        victim = scheduler.start_timer(4, callback=expire_action)
-        scheduler.advance(4)
-        assert grabbed[0] is not victim
-        # ... but the finalised record is pooled once the tick completes.
-        assert victim in scheduler._free_timers
-
-    @pytest.mark.parametrize("scheme", ALL_SCHEMES)
-    def test_recycled_ids_never_alias_active_records(self, scheme):
-        """Random churn: every start returns a record no live handle holds."""
-        rng = random.Random(1987)
-        scheduler = build(scheme, recycle=True)
-        active = {}  # id(record) -> record, while pending
-        for _ in range(400):
-            op = rng.random()
-            if op < 0.55:
-                timer = scheduler.start_timer(rng.randint(1, 300))
-                assert id(timer) not in active, scheme
-                active[id(timer)] = timer
-            elif op < 0.7 and active:
-                key = rng.choice(list(active))
-                scheduler.stop_timer(active.pop(key))
-            else:
-                for timer in scheduler.advance(rng.randint(1, 40)):
-                    active.pop(id(timer), None)
-            assert all(t.pending for t in active.values()), scheme
-        # The pool only ever holds finalised, unlinked records.
-        for pooled in scheduler._free_timers:
-            assert not pooled.pending
-            assert not pooled.linked

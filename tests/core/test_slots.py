@@ -69,8 +69,13 @@ def test_structure_container_classes_are_slotted():
 
 
 def test_wheel_level_classes_are_slotted():
-    from repro.core.scheme7_hierarchical import _Level
-    from repro.core.soa_schemes import _SoALevel
+    from repro.core.scheme7_hierarchical import (
+        HierarchicalWheelScheduler,
+        _Level,
+    )
+    from repro.core.soa_schemes import SoAHierarchicalWheelScheduler
 
-    assert not hasattr(_Level(0, 4, 1), "__dict__")
-    assert not hasattr(_SoALevel(0, 4, 1), "__dict__")
+    # One level class serves both stores; each brings its chain table.
+    for scheme in (HierarchicalWheelScheduler, SoAHierarchicalWheelScheduler):
+        level = _Level(0, 4, 1, scheme._new_chains(4))
+        assert not hasattr(level, "__dict__")

@@ -1,13 +1,14 @@
-"""Generation-tagged handles: use-after-free across the recycle free list.
+"""Generation-tagged handles: use-after-reuse across ``restart_timer``.
 
-The regression these tests pin: with ``recycle=True`` (PR 2's record
-pool) a client that holds a finalised ``Timer`` across a later
-``start_timer`` holds the *same Python object reborn as someone else's
-timer* — ``stop_timer(stale_record)`` silently cancelled the wrong
-timer. The fix is the generation tag: ``Timer.generation`` bumps on
-every ``_reinit``, ``timer.handle`` captures it, and resolving a stale
-handle raises :class:`StaleTimerHandleError`. The SoA store enforces the
-same contract natively (its free list *is* the allocator).
+The hazard these tests pin: ``restart_timer`` re-arms a finalised record
+in place, so a client that holds the finalised ``Timer`` across the
+re-arm holds the *same Python object reborn as another timer leg*,
+possibly under another request id — ``stop_timer(stale_record)`` would
+silently cancel the new leg. The guard is the generation tag:
+``Timer.generation`` bumps on every ``_reinit``, ``timer.handle``
+captures it, and resolving a stale handle raises
+:class:`StaleTimerHandleError`. The SoA store enforces the same contract
+natively (its free list *is* the allocator).
 """
 
 from __future__ import annotations
@@ -19,18 +20,18 @@ from repro.core.interface import TimerHandle
 from repro.core.scheme6_hashed_unsorted import HashedWheelUnsortedScheduler
 
 
-def _recycled_pair(sched):
-    """Expire one timer, reuse its record; returns (stale_handle, victim)."""
+def _rearmed_pair(sched):
+    """Expire one timer, re-arm its record; returns (stale_handle, victim)."""
     first = sched.start_timer(3, request_id="first")
     handle = first.handle
-    sched.advance(3)  # expire -> record pooled
-    victim = sched.start_timer(50, request_id="victim")
-    assert victim is first, "free list must have reused the record"
+    sched.advance(3)  # expire -> record finalised
+    victim = sched.restart_timer(first, 50, request_id="victim")
+    assert victim is first, "restart_timer must re-arm the record in place"
     return handle, victim
 
 
 def test_handle_tracks_generations():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = HashedWheelUnsortedScheduler(64)
     timer = sched.start_timer(3, request_id="x")
     handle = timer.handle
     assert isinstance(handle, TimerHandle)
@@ -39,15 +40,15 @@ def test_handle_tracks_generations():
     assert timer.generation == 0
     sched.advance(3)
     assert not handle.stale  # finalised but not yet reused: still gen 0
-    sched.start_timer(5)  # reuse bumps the generation
+    sched.restart_timer(timer, 5)  # reuse bumps the generation
     assert timer.generation == 1
     assert handle.stale
 
 
 def test_stale_handle_stop_raises_instead_of_cancelling_victim():
     """The pre-PR bug: this stop used to kill the victim silently."""
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
-    handle, victim = _recycled_pair(sched)
+    sched = HashedWheelUnsortedScheduler(64)
+    handle, victim = _rearmed_pair(sched)
     with pytest.raises(StaleTimerHandleError):
         sched.stop_timer(handle)
     # The reborn timer is untouched — exactly what the raw record path
@@ -60,33 +61,34 @@ def test_stale_handle_stop_raises_instead_of_cancelling_victim():
 def test_raw_record_stop_still_cancels_by_identity():
     """Documented sharp edge: the raw record IS the reborn timer.
 
-    Clients that stop by record reference under ``recycle=True`` must
-    hold handles instead; this pin documents why (the raw path cannot
-    distinguish incarnations, so it cancels whatever the record now is).
+    Clients that stop by record reference across a ``restart_timer``
+    must hold handles instead; this pin documents why (the raw path
+    cannot distinguish incarnations, so it cancels whatever the record
+    now is).
     """
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = HashedWheelUnsortedScheduler(64)
     first = sched.start_timer(3, request_id="first")
     sched.advance(3)
-    victim = sched.start_timer(50, request_id="victim")
+    victim = sched.restart_timer(first, 50, request_id="victim")
     assert victim is first
     sched.stop_timer(first)  # same object -> stops "victim"
     assert not sched.is_pending("victim")
 
 
 def test_is_pending_accepts_handles_without_raising():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = HashedWheelUnsortedScheduler(64)
     timer = sched.start_timer(3, request_id="x")
     handle = timer.handle
     assert sched.is_pending(handle)
     sched.advance(3)
     assert not sched.is_pending(handle)
-    sched.start_timer(9)  # goes stale: probe stays non-throwing
+    sched.restart_timer(timer, 9)  # goes stale: probe stays non-throwing
     assert handle.stale
     assert not sched.is_pending(handle)
 
 
 def test_stop_by_live_handle_works():
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = HashedWheelUnsortedScheduler(64)
     timer = sched.start_timer(30, request_id="x")
     stopped = sched.stop_timer(timer.handle)
     assert stopped is timer
@@ -95,7 +97,7 @@ def test_stop_by_live_handle_works():
 
 def test_stopping_finalised_but_unrecycled_handle_is_state_error():
     """Before reuse the handle still resolves; the state check fires."""
-    sched = HashedWheelUnsortedScheduler(64, recycle=True)
+    sched = HashedWheelUnsortedScheduler(64)
     timer = sched.start_timer(3, request_id="x")
     handle = timer.handle
     sched.advance(3)
@@ -104,7 +106,7 @@ def test_stopping_finalised_but_unrecycled_handle_is_state_error():
 
 
 def test_handles_inert_without_recycling():
-    """recycle=False never reuses records, so handles never go stale."""
+    """START allocates a fresh record, so other timers never stale a handle."""
     sched = HashedWheelUnsortedScheduler(64)
     timer = sched.start_timer(3, request_id="x")
     handle = timer.handle

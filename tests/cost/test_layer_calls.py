@@ -3,15 +3,20 @@
 Section 7 prices each routine in instructions; a wrapper layer's price is
 the Python calls it adds, which a noisy host cannot move. Only frames of
 ``repro`` code are counted (CPython versions differ in their stdlib
-frames, e.g. ``json``). The pins are the counts of the hand-written
-forwarders the layer base replaced, measured with this very workload; a
-change may lower them, never raise them.
+frames, e.g. ``json``). The layer pins are the counts of the
+hand-written forwarders the layer base replaced; the bare-wheel pins are
+the flat one-body-per-routine hot paths of schemes 4/6/7 on both stores,
+so a chain abstraction shared by the stores may add no call per routine.
+All were measured with this very workload; a change may lower them,
+never raise them.
 """
 
 from __future__ import annotations
 
 import random
 import sys
+
+import pytest
 
 from repro.core.registry import make_scheduler
 from repro.core.supervision import SupervisedScheduler
@@ -24,6 +29,19 @@ N = 2_000
 PINNED = {
     "S(T(scheme7))": (10.079, 8.079, 10.042),
     "D(S(T(scheme7)))": (31.079, 25.079, 33.042),
+    "scheme4/object": (7.994, 5.99, 9.966),
+    "scheme4/soa": (8.994, 8.99, 10.966),
+    "scheme6/object": (7.582, 5.573, 8.449),
+    "scheme6/soa": (8.582, 8.573, 9.449),
+    "scheme7/object": (6.079, 4.079, 6.042),
+    "scheme7/soa": (7.079, 7.079, 7.042),
+}
+
+#: Bare-wheel geometries: every interval of the workload fits.
+WHEELS = {
+    "scheme4": {"max_interval": 1 << 18},
+    "scheme6": {"table_size": 4096},
+    "scheme7": {"slot_counts": (64, 64, 64)},
 }
 
 
@@ -83,4 +101,12 @@ def test_durable_stack_calls_per_op_do_not_grow(tmp_path):
     measured = calls_per_op(top)
     top.close()
     pinned = PINNED["D(S(T(scheme7)))"]
+    assert all(m <= p for m, p in zip(measured, pinned)), (measured, pinned)
+
+
+@pytest.mark.parametrize("store", ["object", "soa"])
+@pytest.mark.parametrize("scheme", sorted(WHEELS))
+def test_bare_wheel_calls_per_op_do_not_grow(scheme, store):
+    measured = calls_per_op(make_scheduler(scheme, store=store, **WHEELS[scheme]))
+    pinned = PINNED[f"{scheme}/{store}"]
     assert all(m <= p for m, p in zip(measured, pinned)), (measured, pinned)

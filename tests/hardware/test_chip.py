@@ -96,3 +96,33 @@ def test_chip_passthrough_api():
     chip.stop_timer("x")
     assert chip.pending_count == 0
     assert timer.stopped_at == 0
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [
+        lambda store: HashedWheelUnsortedScheduler(table_size=64, store=store),
+        lambda store: HierarchicalWheelScheduler((16, 16, 16), store=store),
+    ],
+    ids=["scheme6", "scheme7"],
+)
+def test_soa_store_gives_the_same_report(factory):
+    """The chip reads the scheme's geometry, which both stores share."""
+
+    def run(store):
+        sched = factory(store)
+        chip = ScanningChipAssist(sched)
+        rng = random.Random(48)
+        fired = []
+        for i in range(400):
+            chip.start_timer(rng.randint(1, 3000), request_id=f"t{i}")
+            if i % 10 == 9 and sched.is_pending(f"t{i - 5}"):
+                chip.stop_timer(f"t{i - 5}")
+            for timer in chip.advance(rng.randint(0, 5)):
+                fired.append((timer.request_id, timer.fired_at))
+        while chip.pending_count:
+            for timer in chip.advance(64):
+                fired.append((timer.request_id, timer.fired_at))
+        return chip.report, sched.counter.total, fired
+
+    assert run("soa") == run("object")
