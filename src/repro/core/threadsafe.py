@@ -44,6 +44,11 @@ class ThreadSafeScheduler(SchedulerLayer, locked=True):
     callbacks are supported via an RLock. Calls from *other* threads
     inside a callback would deadlock by design — the module is a single
     serialised resource, per the appendix's global-semaphore picture.
+
+    Over a bare scheme ``advance``/``advance_to`` hop event to event and
+    drop the lock between hops. Over a layer each is one call under the
+    lock, so a durable layer below journals one ``advance`` record per
+    client call rather than one per event tick.
     """
 
     def __init__(self, scheduler) -> None:
@@ -59,6 +64,11 @@ class ThreadSafeScheduler(SchedulerLayer, locked=True):
                 continue
             if inspect.isfunction(getattr(type(scheduler), name)):
                 setattr(self, name, _locked(self._lock, getattr(scheduler, name)))
+        if isinstance(scheduler, SchedulerLayer):
+            # A layer journals or supervises each advance it gets, so it
+            # gets one per client call; only a bare scheme is hopped.
+            self.advance = _locked(self._lock, scheduler.advance)
+            self.advance_to = _locked(self._lock, scheduler.advance_to)
 
     def advance(self, ticks: int) -> List[Timer]:
         """Advance ``ticks`` ticks, one serialised event hop at a time.

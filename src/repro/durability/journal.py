@@ -23,8 +23,8 @@ Durability is a dial (:data:`SYNC_MODES`):
     protocol (``docs/durability.md``) is built so clients re-issue that
     lost tail idempotently.
 ``"never"``
-    Buffered writes, no fsync — the fast lane for benchmarks and tests
-    that do not model power loss.
+    One unbuffered write per record, no fsync — the fast lane for
+    benchmarks and tests that do not model power loss.
 
 Crash faults plug in at this layer: a
 :class:`~repro.faults.crash.CrashPoint` kills the append that produces
@@ -71,25 +71,84 @@ class JournalWriteError(JournalError):
     """An append could not be made durable; the operation was not applied."""
 
 
+#: The records the service writes on every client op and tick: op ->
+#: sorted field names. A record with exactly these fields, each a plain
+#: int or str (``user_data`` may also be ``None``), is formatted from a
+#: template (see :func:`encode_record`).
+HOT_RECORD_FIELDS: Dict[str, Tuple[str, ...]] = {
+    "start": ("deadline", "id", "interval", "now", "user_data"),
+    "stop": ("id", "now"),
+    "update": ("deadline", "id", "interval", "now"),
+    "advance": ("target",),
+    "expire": ("attempts", "deadline", "id", "now"),
+}
+
+#: op -> (fields, the sorted compact record after its opening brace,
+#: with one ``%s`` per field and ``%d`` for ``seq``).
+_TEMPLATES = {
+    op: (
+        fields,
+        '"data":{'
+        + ",".join(f'"{name}":%s' for name in fields)
+        + f'}},"op":"{op}","seq":%d}}',
+    )
+    for op, fields in HOT_RECORD_FIELDS.items()
+}
+
+_OPEN_CRC = zlib.crc32(b"{")
+_quote = json.encoder.encode_basestring_ascii
+_MISSING = object()
+
+
 def encode_record(seq: int, op: str, data: Dict[str, object]) -> str:
     """One journal line (no trailing newline) with its CRC-32 stamped in.
 
     The body is encoded once; splicing ``"crc"`` in as its first key
-    gives the sorted, compact encoding of the whole record.
+    gives the sorted, compact encoding of the whole record. A hot record
+    (:data:`HOT_RECORD_FIELDS`) whose values are all of type exactly
+    ``int`` or ``str`` is formatted from its template to the bytes
+    ``json.dumps`` would write: ints in decimal, strs through its
+    ASCII-escaping quoter. Everything else — a bool, an ``IntEnum``, a
+    float, a container, any other key set or op — goes through
+    ``json.dumps``.
     """
-    try:
-        body = json.dumps(
-            {"seq": seq, "op": op, "data": data},
-            sort_keys=True,
-            separators=(",", ":"),
-            allow_nan=False,
-        )
-    except (TypeError, ValueError) as exc:
-        raise JournalWriteError(
-            f"journal record {op!r} is not JSON-serialisable: {exc}"
-        ) from exc
-    crc = zlib.crc32(body.encode("utf-8")) & 0xFFFFFFFF
-    return '{"crc":%d,%s' % (crc, body[1:])
+    template = _TEMPLATES.get(op)
+    tail = None
+    if template is not None and len(data) == len(template[0]) and type(seq) is int:
+        fields, text = template
+        values = []
+        for name in fields:
+            value = data.get(name, _MISSING)
+            kind = type(value)
+            if kind is int:
+                values.append(value)
+            elif kind is str:
+                values.append(_quote(value))
+            elif value is None and name == "user_data":
+                values.append("null")
+            else:
+                break
+        else:
+            values.append(seq)
+            try:
+                tail = text % tuple(values)
+            except ValueError:
+                pass  # an int past str()'s digit limit: json.dumps reports it
+    if tail is None:
+        try:
+            body = json.dumps(
+                {"seq": seq, "op": op, "data": data},
+                sort_keys=True,
+                separators=(",", ":"),
+                allow_nan=False,
+            )
+        except (TypeError, ValueError) as exc:
+            raise JournalWriteError(
+                f"journal record {op!r} is not JSON-serialisable: {exc}"
+            ) from exc
+        tail = body[1:]
+    crc = zlib.crc32(tail.encode("utf-8"), _OPEN_CRC)
+    return '{"crc":%d,%s' % (crc, tail)
 
 
 def decode_record(raw: Union[str, bytes]) -> Tuple[int, str, Dict[str, object]]:

@@ -170,6 +170,8 @@ class DurableScheduler(SchedulerLayer):
             fsync_fail_at_seq=fsync_fail_at_seq,
         )
         self._schedule_snapshot(start_seq, 0)
+        # Fixed geometry on every scheme and on the sharded service.
+        self._max_interval = scheduler.max_start_interval()
         self._supervised = hasattr(scheduler, "set_ledger")
         if self._supervised:
             scheduler.set_ledger(self._append)
@@ -204,12 +206,13 @@ class DurableScheduler(SchedulerLayer):
                 callback=callback,
                 user_data=user_data,
             )
-        check_interval(interval, stack.max_start_interval())
+        check_interval(interval, self._max_interval)
+        now = stack.now
         data = {
             "id": request_id,
             "interval": interval,
-            "deadline": stack.now + interval,
-            "now": stack.now,
+            "deadline": now + interval,
+            "now": now,
             "user_data": user_data,
         }
         if auto:
@@ -257,14 +260,15 @@ class DurableScheduler(SchedulerLayer):
             # Delegate so the stack raises its own unknown/stale error
             # without a phantom record reaching the journal first.
             return stack.update_timer(timer_or_id, new_interval)
-        check_interval(new_interval, stack.max_start_interval())
+        check_interval(new_interval, self._max_interval)
+        now = stack.now
         self._append(
             "update",
             {
                 "id": str(origin),
                 "interval": new_interval,
-                "deadline": stack.now + new_interval,
-                "now": stack.now,
+                "deadline": now + new_interval,
+                "now": now,
             },
         )
         updated = stack.update_timer(timer_or_id, new_interval)
@@ -335,6 +339,7 @@ class DurableScheduler(SchedulerLayer):
         return seq
 
     def _journal_plain_expiries(self, fired: List[Timer]) -> None:
+        now = self._inner.now
         for timer in fired:
             self._append(
                 "expire",
@@ -342,7 +347,7 @@ class DurableScheduler(SchedulerLayer):
                     "id": str(timer.request_id),
                     "deadline": timer.deadline,
                     "attempts": 1,
-                    "now": self._inner.now,
+                    "now": now,
                 },
             )
 

@@ -26,6 +26,10 @@ from typing import List, Union
 from repro.core.interface import Timer
 from repro.core.scheme6_hashed_unsorted import HashedWheelUnsortedScheduler
 from repro.core.scheme7_hierarchical import HierarchicalWheelScheduler
+from repro.structures.bitmap import WORD_BITS, SlotBitmap
+
+#: Set bits in a word (``int.bit_count`` where the interpreter has it).
+_popcount = getattr(int, "bit_count", lambda word: bin(word).count("1"))
 
 
 @dataclass
@@ -72,21 +76,15 @@ class ScanningChipAssist:
             )
         self.scheduler = scheduler
         self.report = ChipReport()
-        self._busy: List[List[bool]] = [
-            [False] * count for count in self._slot_counts()
-        ]
-
-    def _slot_counts(self) -> List[int]:
-        sched = self.scheduler
-        if isinstance(sched, HashedWheelUnsortedScheduler):
-            return [sched.table_size]
-        return [level.slot_count for level in sched._levels]
-
-    def _occupancy(self) -> List[List[int]]:
-        sched = self.scheduler
-        if isinstance(sched, HashedWheelUnsortedScheduler):
-            return [sched.bucket_sizes()]
-        return [sched.slot_sizes(level) for level in range(sched.levels)]
+        #: The host's occupancy bitmaps, one per level; a bit is set
+        #: exactly while its queue is non-empty.
+        self._host: List[SlotBitmap] = (
+            [scheduler._occupancy]
+            if isinstance(scheduler, HashedWheelUnsortedScheduler)
+            else [level.occupancy for level in scheduler._levels]
+        )
+        #: The chip's busy bits: its own copy of each bitmap's words.
+        self._busy: List[List[int]] = [[0] * len(b.words) for b in self._host]
 
     # -------------------------------------------------------- scheduler API
 
@@ -137,35 +135,41 @@ class ScanningChipAssist:
 
     # ------------------------------------------------------------ internals
 
+    def _is_busy(self, level: int, slot: int) -> bool:
+        """The chip's busy bit for ``slot`` of ``level``."""
+        word, bit = divmod(slot, WORD_BITS)
+        return bool(self._busy[level][word] >> bit & 1)
+
     def _will_visit_busy_slot(self) -> bool:
         """Would the next scan step hit a busy location?"""
         sched = self.scheduler
         next_time = sched.now + 1
         if isinstance(sched, HashedWheelUnsortedScheduler):
-            nxt = (sched.cursor + 1) % sched.table_size
-            return self._busy[0][nxt]
+            return self._is_busy(0, (sched.cursor + 1) % sched.table_size)
         hit = False
         for level in sched._levels:
             if next_time % level.granularity == 0:
                 slot = (next_time // level.granularity) % level.slot_count
-                if self._busy[level.index][slot]:
+                if self._is_busy(level.index, slot):
                     hit = True
         return hit
 
     def _sync_busy_bits(self) -> None:
         """Reconcile busy bits with queue occupancy, counting notifications.
 
-        In hardware the host sends one message per empty↔non-empty edge;
-        diffing occupancy after each host operation counts exactly those
-        edges.
+        In hardware the host sends one message per empty↔non-empty edge.
+        The host's occupancy bitmaps flip on exactly those edges, so
+        diffing their words against the chip's copy after each host
+        operation counts them: O(words), not O(slots) or O(timers).
         """
-        for level_index, sizes in enumerate(self._occupancy()):
-            bits = self._busy[level_index]
-            for slot, size in enumerate(sizes):
-                busy = size > 0
-                if busy and not bits[slot]:
-                    bits[slot] = True
-                    self.report.busy_notifications += 1
-                elif not busy and bits[slot]:
-                    bits[slot] = False
-                    self.report.idle_notifications += 1
+        report = self.report
+        for bitmap, busy in zip(self._host, self._busy):
+            words = bitmap.words
+            if words == busy:
+                continue
+            for index, word in enumerate(words):
+                old = busy[index]
+                if word != old:
+                    report.busy_notifications += _popcount(word & ~old)
+                    report.idle_notifications += _popcount(old & ~word)
+                    busy[index] = word

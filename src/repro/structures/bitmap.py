@@ -88,6 +88,14 @@ class SlotBitmap:
         return self._summary != 0
 
     @property
+    def words(self) -> List[int]:
+        """The live words: bit ``b`` of word ``w`` is index ``w * WORD_BITS + b``.
+
+        Read only; callers that diff occupancy keep their own copy.
+        """
+        return self._words
+
+    @property
     def count(self) -> int:
         """Number of set bits."""
         return self._set_count

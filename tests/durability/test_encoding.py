@@ -8,17 +8,23 @@ the CRC against the line's own bytes.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
 import math
 import zlib
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.registry import make_scheduler
 from repro.core.supervision import RetryPolicy, SupervisedScheduler, origin_of
 from repro.core.threadsafe import ThreadSafeScheduler
+from repro.durability import journal as journal_module
 from repro.durability.journal import (
+    HOT_RECORD_FIELDS,
     Journal,
     JournalCorruptionError,
     JournalWriteError,
@@ -246,3 +252,127 @@ def test_non_finite_user_data_leaves_the_stack_untouched(tmp_path, value):
     assert durable.journal.last_seq == 0
     durable.start_timer(5, request_id="a", user_data=0.5)  # the id is still free
     durable.close()
+
+
+# ------------------------------------------------------ hot-record templates
+
+
+class Priority(enum.IntEnum):
+    HIGH = 7
+
+
+#: Exact ints of any sign and size, and strs with non-ASCII characters
+#: and lone surrogates: the values a hot record's template formats.
+PLAIN = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**64),
+    st.integers(max_value=-(2**63)),
+    st.text(st.characters(exclude_categories=()), max_size=12),
+    st.sampled_from(["", "réseau-✓", "\ud800", "a\udfffb", "😀", 'q"\\\n']),
+)
+
+#: Values that must fall back to ``json.dumps``: none is an exact int,
+#: an exact str or ``None``.
+NOT_PLAIN = st.one_of(
+    st.booleans(),
+    st.just(Priority.HIGH),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.lists(st.one_of(st.none(), st.integers(), st.text(max_size=3)), max_size=3),
+    st.dictionaries(
+        st.text(max_size=3),
+        st.one_of(st.none(), st.booleans(), st.lists(st.integers(), max_size=2)),
+        max_size=3,
+    ),
+)
+
+
+def _plain_record(data, op):
+    """A record of ``op``'s hot shape, its keys in a random order."""
+    fields = HOT_RECORD_FIELDS[op]
+    values = {
+        name: data.draw(st.one_of(st.none(), PLAIN) if name == "user_data" else PLAIN)
+        for name in fields
+    }
+    return {name: values[name] for name in data.draw(st.permutations(fields))}
+
+
+def _encode_without_json_dumps(seq, op, record):
+    with mock.patch.object(
+        journal_module.json, "dumps", side_effect=AssertionError("fell back")
+    ):
+        return encode_record(seq, op, record)
+
+
+def _encode_counting_json_dumps(seq, op, record):
+    with mock.patch.object(
+        journal_module.json, "dumps", wraps=json.dumps
+    ) as dumps:
+        line = encode_record(seq, op, record)
+    assert dumps.call_count == 1
+    return line
+
+
+SEQS = st.integers(min_value=1, max_value=2**64)
+HOT_OPS = st.sampled_from(sorted(HOT_RECORD_FIELDS))
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=HOT_OPS, seq=SEQS, data=st.data())
+def test_hot_records_are_formatted_to_the_json_dumps_bytes(op, seq, data):
+    record = _plain_record(data, op)
+    expected = _two_pass(seq, op, record)
+    line = _encode_without_json_dumps(seq, op, record)
+    assert line == expected
+    assert decode_record(line) == (seq, op, record)
+
+
+@settings(max_examples=300, deadline=None)
+@given(op=HOT_OPS, seq=SEQS, data=st.data())
+def test_a_record_with_a_value_that_is_not_plain_falls_back(op, seq, data):
+    record = _plain_record(data, op)
+    name = data.draw(st.sampled_from(HOT_RECORD_FIELDS[op]))
+    record[name] = data.draw(NOT_PLAIN)
+    assert _encode_counting_json_dumps(seq, op, record) == _two_pass(seq, op, record)
+
+
+@settings(max_examples=200, deadline=None)
+@given(op=HOT_OPS, seq=SEQS, data=st.data())
+def test_a_record_with_another_key_set_falls_back(op, seq, data):
+    record = _plain_record(data, op)
+    if data.draw(st.booleans()):
+        del record[data.draw(st.sampled_from(HOT_RECORD_FIELDS[op]))]
+    else:
+        extra = data.draw(
+            st.text(max_size=8).filter(lambda key: key not in record)
+        )
+        record[extra] = data.draw(st.one_of(st.booleans(), PLAIN))
+    assert _encode_counting_json_dumps(seq, op, record) == _two_pass(seq, op, record)
+
+
+def test_an_auto_start_falls_back():
+    record = dict(RECORDS[0][2], auto=True)
+    assert _encode_counting_json_dumps(9, "start", record) == _two_pass(
+        9, "start", record
+    )
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("op", sorted(HOT_RECORD_FIELDS))
+def test_non_finite_floats_in_a_hot_record_still_raise(op, value):
+    fields = HOT_RECORD_FIELDS[op]
+    for name in fields:
+        record = {field: 1 for field in fields}
+        record[name] = value
+        with pytest.raises(JournalWriteError, match="serialisable"):
+            encode_record(1, op, record)
+
+
+def test_an_int_too_long_to_print_fails_as_json_dumps_does():
+    record = {"target": 10**5000}
+    try:
+        expected = _two_pass(1, "advance", record)
+    except ValueError:  # interpreters that cap int-to-str conversion
+        with pytest.raises(JournalWriteError):
+            encode_record(1, "advance", record)
+    else:
+        assert encode_record(1, "advance", record) == expected

@@ -16,6 +16,8 @@ from repro.core.registry import make_scheduler
 from repro.core.supervision import SupervisedScheduler
 from repro.core.threadsafe import ThreadSafeScheduler
 from repro.durability import DurableScheduler, recover
+from repro.durability.journal import read_journal
+from repro.durability.service import JOURNAL_NAME
 
 IDS_PER_THREAD, UPDATES_PER_THREAD = 200, 3_000
 
@@ -61,3 +63,26 @@ def test_two_threads_through_threadsafe_durable_top_recover(tmp_path):
         IDS_PER_THREAD + UPDATES_PER_THREAD
     )
     assert {(t.request_id, t.deadline) for t in recovered.pending_timers()} == expected
+
+
+def _journaled_ops(directory, wrap):
+    durable = DurableScheduler(
+        SupervisedScheduler(make_scheduler("scheme7")), directory, sync="never"
+    )
+    top = wrap(durable)
+    for i in range(100):
+        top.start_timer(10 * (i + 1), request_id=f"t{i}")
+    fired = top.advance(2_000)
+    assert len(fired) == 100
+    top.close()
+    records = read_journal(directory / JOURNAL_NAME).records
+    return [(op, data) for _, op, data in records]
+
+
+def test_threadsafe_top_journals_one_advance_per_client_call(tmp_path):
+    """The facade hands a layer one ``advance_to`` per call, not one per
+    event hop, so the journal is the one the durable layer alone writes."""
+    bare = _journaled_ops(tmp_path / "durable", lambda durable: durable)
+    locked = _journaled_ops(tmp_path / "threadsafe", ThreadSafeScheduler)
+    assert [op for op, _ in locked].count("advance") == 1
+    assert locked == bare

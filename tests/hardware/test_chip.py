@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import sys
 
 import pytest
 
@@ -126,3 +127,34 @@ def test_soa_store_gives_the_same_report(factory):
         return chip.report, sched.counter.total, fired
 
     assert run("soa") == run("object")
+
+
+def _calls_per_start(table_size: int, store: str) -> float:
+    """``repro`` frames per START through the chip, each into an empty slot."""
+    chip = ScanningChipAssist(
+        HashedWheelUnsortedScheduler(table_size=table_size, store=store)
+    )
+    intervals = list(range(1, 201))  # distinct slots at either table size
+    random.Random(49).shuffle(intervals)
+    count = 0
+
+    def profile(frame, event, arg):
+        nonlocal count
+        if event == "call" and frame.f_globals.get("__name__", "").startswith("repro."):
+            count += 1
+
+    sys.setprofile(profile)
+    try:
+        for interval in intervals:
+            chip.start_timer(interval, request_id=f"t{interval}")
+    finally:
+        sys.setprofile(None)
+    assert chip.report.busy_notifications == len(intervals)
+    return count / len(intervals)
+
+
+@pytest.mark.parametrize("store", ["object", "soa"])
+def test_start_through_the_chip_costs_the_same_calls_at_any_table_size(store):
+    """The chip diffs the host's occupancy words, so a START costs it a
+    constant number of calls, not one per slot or per pending timer."""
+    assert _calls_per_start(256, store) == _calls_per_start(4096, store)
